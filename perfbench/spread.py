@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Run-to-run spread of the benchmark's end-to-end metrics.
 
-Runs the command of BENCHMARK.json once per seed on each named workload
-(from the repository root) and prints, per metric, the median and the
-distance between the first and third quartile as a share of the median,
-next to a third of the metric's bound. A spread above its bound (except
+Runs the command of BENCHMARK.json once with each of the seeds 1 to 10
+on each named workload (from the repository root) and prints, per
+metric, the median and the distance between the first and third
+quartile as a share of the median, next to a third of the metric's
+bound. A spread above its bound (except
 for setup_s) means the benchmark is too noisy to judge a change by.
 
-    python3 perfbench/spread.py --seeds 10 detailed-sweep warm-resweep
-
-With --out FILE the raw per-run metrics are also saved as JSON lines.
+    python3 perfbench/spread.py detailed-sweep warm-resweep
 """
 
 import argparse
@@ -18,11 +17,13 @@ import statistics
 import subprocess
 import sys
 
+SEEDS = range(1, 11)
 
-def run_once(manifest, workload, seed, trace=0):
+
+def run_once(manifest, workload, seed):
     cmd = manifest["command"] + [
         "--workload", workload, "--seed", str(seed),
-        "--seconds", str(manifest["run_seconds"]), "--trace", str(trace),
+        "--seconds", str(manifest["run_seconds"]), "--trace", "0",
     ]
     out = subprocess.run(cmd, capture_output=True, text=True, timeout=900)
     lines = out.stdout.strip().splitlines()
@@ -37,23 +38,13 @@ def run_once(manifest, workload, seed, trace=0):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("workloads", nargs="+")
-    ap.add_argument("--seeds", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--out")
     args = ap.parse_args()
     with open("BENCHMARK.json") as f:
         manifest = json.load(f)
     bounds = {m["name"]: m["bound"] for m in manifest["end_to_end"]}
-    sink = open(args.out, "a") if args.out else None
     worst = 0.0
     for w in args.workloads:
-        runs = []
-        for seed in range(args.first_seed, args.first_seed + args.seeds):
-            m = run_once(manifest, w, seed)
-            runs.append(m)
-            if sink:
-                sink.write(json.dumps({"workload": w, "seed": seed, "metrics": m}) + "\n")
-                sink.flush()
+        runs = [run_once(manifest, w, seed) for seed in SEEDS]
         print(f"{w} ({len(runs)} seeds)")
         for name, bound in bounds.items():
             vals = [r[name] for r in runs]

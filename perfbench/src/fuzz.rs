@@ -21,8 +21,16 @@ use crate::stats::{median, Dist};
 use crate::trace::{Span, Tracer};
 use crate::{Ctx, Step, Workload};
 
-/// Inputs per campaign (one iteration).
-const INPUTS: u32 = 50;
+/// Inputs per campaign (one iteration). A few inputs cost hundreds of
+/// times the median one, and a campaign's time is set by its slowest
+/// inputs, so small campaigns keep the median campaign a typical one.
+const INPUTS: u32 = 10;
+
+/// Campaigns per second of `--seconds`: about the rate of the reference
+/// host (2 vCPUs), so a run lasts about as long as asked there. The count
+/// is fixed for a given `--seconds`, so a faster build times the same
+/// inputs rather than more of them.
+const CAMPAIGNS_PER_SEC: f64 = 16.0;
 
 /// The campaign of iteration `i`: its seed derives from the workload seed.
 fn campaign(seed: u64, i: usize, workers: usize) -> CampaignConfig {
@@ -89,6 +97,8 @@ impl Summary {
 pub struct FuzzDifferential {
     /// Iteration 0's campaign as set-up ran it.
     first: Summary,
+    /// Coverage merged over the traced campaigns.
+    coverage: CoverageMap,
 }
 
 impl FuzzDifferential {
@@ -112,7 +122,10 @@ impl FuzzDifferential {
 impl Workload for FuzzDifferential {
     fn setup(ctx: &Ctx) -> Result<Self, String> {
         let first = Summary::of(&run_campaign(&campaign(ctx.seed, 0, ctx.workers)));
-        Ok(FuzzDifferential { first })
+        Ok(FuzzDifferential {
+            first,
+            coverage: CoverageMap::new(),
+        })
     }
 
     fn step(&mut self, ctx: &Ctx, i: usize) -> Result<Step, String> {
@@ -128,11 +141,12 @@ impl Workload for FuzzDifferential {
     fn traced_step(&mut self, ctx: &Ctx, i: usize, tr: &Tracer) -> Result<Step, String> {
         let cfg = campaign(ctx.seed, i, ctx.workers);
         let t = Instant::now();
-        let s = tr.span("campaign.run", 0, 0, |rid| {
+        let (s, coverage) = tr.span("campaign.run", 0, 0, |rid| {
             traced_campaign(&cfg, i, tr, rid)
         });
         let secs = t.elapsed().as_secs_f64();
         self.verify(i, &s)?;
+        self.coverage.merge(&coverage);
         Ok(s.step(secs))
     }
 
@@ -144,6 +158,12 @@ impl Workload for FuzzDifferential {
         }
         Ok(())
     }
+
+    fn iterations(secs: f64) -> Option<usize> {
+        Some((secs * CAMPAIGNS_PER_SEC).ceil() as usize)
+    }
+
+    const TYPICAL_RATE: bool = true;
 
     fn layers(
         &mut self,
@@ -190,7 +210,10 @@ impl Workload for FuzzDifferential {
             tr.counter("campaign.divergences") / it,
         );
         m.set("campaign.panics", tr.counter("campaign.panics") / it);
-        m.set("campaign.edge_buckets", self.first.edge_buckets as f64);
+        m.set(
+            "campaign.edge_buckets",
+            self.coverage.edge_buckets_seen() as f64,
+        );
 
         let busy = per("campaign.input");
         m.set("pool.workers", ctx.workers as f64);
@@ -246,7 +269,12 @@ struct InputRun {
 /// [`contained_run`] on each kernel under [`pool::run_tasks`] — with a span
 /// around each. Divergences are counted, not minimized: any divergence
 /// fails the workload.
-fn traced_campaign(cfg: &CampaignConfig, iter: usize, tr: &Tracer, rid: u64) -> Summary {
+fn traced_campaign(
+    cfg: &CampaignConfig,
+    iter: usize,
+    tr: &Tracer,
+    rid: u64,
+) -> (Summary, CoverageMap) {
     let presets = FuzzWeights::presets();
     let cell_id = |i: usize| ((iter as u64) << 32) | (i as u64 + 1);
     let mut programs: Vec<Arc<Program>> = Vec::with_capacity(cfg.inputs as usize);
@@ -380,5 +408,5 @@ fn traced_campaign(cfg: &CampaignConfig, iter: usize, tr: &Tracer, rid: u64) -> 
     s.edge_buckets = coverage.edge_buckets_seen();
     s.op_classes = coverage.op_classes_seen();
     s.observed = coverage.observed();
-    s
+    (s, coverage)
 }

@@ -10,11 +10,13 @@
 //! at most one pool worker per CPU), checks every output, and prints as
 //! its last stdout line one JSON object with `correct`, `attempted`,
 //! `failed` and `metrics`. `--trace 0` reports the end-to-end metrics of
-//! `BENCHMARK.json`; `--trace 1` alternates untraced and traced
+//! `BENCHMARK.json`, their times corrected for the host's speed (see
+//! `calib`); `--trace 1` alternates untraced and traced
 //! iterations of the workload and reports the per-layer metrics, the
 //! tracing overhead being the difference between the two kinds. The
 //! exit code is non-zero when any output check fails. See `README.md`.
 
+mod calib;
 mod fuzz;
 mod host;
 mod json;
@@ -28,6 +30,7 @@ mod trace;
 use std::path::Path;
 use std::time::Instant;
 
+use calib::Calibrator;
 use host::WorkDir;
 use metrics::{MetricSet, END_TO_END, PER_LAYER};
 use trace::Tracer;
@@ -97,6 +100,17 @@ pub trait Workload: Sized {
     ) -> Result<(), String>;
     /// Fingerprints of the machine configurations the workload runs.
     fn config_fingerprints(&self) -> Vec<(String, u64)>;
+    /// A fixed number of iterations for a run of `secs`, for a workload
+    /// whose iterations differ in their inputs: a faster build then times
+    /// the same inputs rather than more of them. `None` runs iterations
+    /// for `secs` of wall time.
+    fn iterations(_secs: f64) -> Option<usize> {
+        None
+    }
+    /// Whether the rate is a typical iteration's (see [`rate`]) rather
+    /// than the whole run's: for a workload whose iterations differ in
+    /// work, with a heavy tail.
+    const TYPICAL_RATE: bool = false;
 }
 
 struct Args {
@@ -146,29 +160,44 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Iterations of one phase: at least [`MIN_ITERS`], until `secs` of wall
-/// time have passed or `full()` says to stop.
+/// Iterations of one phase: at least [`MIN_ITERS`]; then `fixed` of
+/// them when given, else until `secs` of wall time have passed or
+/// `full()` says to stop. A calibration pass runs between iterations
+/// whenever one is due.
 fn phase(
     secs: f64,
+    fixed: Option<usize>,
+    cal: &mut Calibrator,
     full: impl Fn() -> bool,
     mut step: impl FnMut(usize) -> Result<Step, String>,
 ) -> Result<Vec<Step>, String> {
     let t0 = Instant::now();
+    let more = |n: usize| match fixed {
+        Some(f) => n < f,
+        None => t0.elapsed().as_secs_f64() < secs && !full(),
+    };
     let mut out = Vec::new();
-    while out.len() < MIN_ITERS || (t0.elapsed().as_secs_f64() < secs && !full()) {
+    while out.len() < MIN_ITERS || more(out.len()) {
+        cal.due();
         out.push(step(out.len())?);
     }
     Ok(out)
 }
 
-/// A typical iteration's rate: the median work per iteration over the
-/// median seconds per iteration. When work varies between iterations
+/// The rate of a run: work over seconds, both summed over its
+/// iterations, so that a slow spell of the host weighs in it as it does
+/// in the calibration passes (see `calib`). With `typical` it is a
+/// typical iteration's rate instead: the median work per iteration over
+/// the median seconds per iteration. When work varies between iterations
 /// (fuzz campaigns do), this is steadier than the median of per-iteration
 /// ratios, whose two factors move together.
-fn rate(steps: &[Step], work: impl Fn(&Step) -> f64) -> f64 {
+fn rate(steps: &[Step], typical: bool, work: impl Fn(&Step) -> f64) -> f64 {
     let w: Vec<f64> = steps.iter().map(&work).collect();
     let t: Vec<f64> = steps.iter().map(|s| s.secs).collect();
-    stats::median(&w) / stats::median(&t).max(1e-12)
+    match typical {
+        true => stats::median(&w) / stats::median(&t).max(1e-12),
+        false => w.iter().sum::<f64>() / t.iter().sum::<f64>().max(1e-12),
+    }
 }
 
 /// Fails unless every traced iteration reproduced the untraced
@@ -185,18 +214,37 @@ fn same_results(plain: &[Step], traced: &[Step]) -> Result<(), String> {
     Ok(())
 }
 
+/// Pool workers: one per CPU, or `DDA_WORKERS` when set. `DseService`
+/// sizes its pool from the same variable, so a value above the CPU count
+/// is refused: capping it here alone would leave the timed requests
+/// running more workers than CPUs, and the provenance line wrong.
+fn workers() -> Result<usize, String> {
+    let (n, cpus) = (dda_bench::pool::host_parallelism(), host::host_cpus());
+    if n > cpus {
+        return Err(format!(
+            "DDA_WORKERS={n} is more than the {cpus} CPUs; lower or unset it"
+        ));
+    }
+    Ok(n)
+}
+
+/// Bytes in MiB.
+fn mib(bytes: usize) -> f64 {
+    bytes as f64 / (1024.0 * 1024.0)
+}
+
 fn run<W: Workload>(args: &Args) -> Result<i32, String> {
+    let mut cal = Calibrator::new();
     let ctx = Ctx {
         seed: args.seed,
-        workers: dda_bench::pool::host_parallelism()
-            .min(host::host_cpus())
-            .max(1),
+        workers: workers()?,
         work: WorkDir::create(&args.workload).map_err(|e| format!("work dir: {e}"))?,
     };
     let mut setup_secs = Vec::with_capacity(SETUP_REPS);
     let mut state: Option<W> = None;
     for _ in 0..SETUP_REPS {
         drop(state.take());
+        cal.pass();
         let t = Instant::now();
         let w = W::setup(&ctx)?;
         setup_secs.push(t.elapsed().as_secs_f64());
@@ -211,18 +259,36 @@ fn run<W: Workload>(args: &Args) -> Result<i32, String> {
     let timed = if args.trace {
         // Untraced and traced iterations alternate, so drift in host speed
         // during the run falls on both sides of the overhead figure alike.
+        // Which of the two runs first alternates too, so neither gains
+        // from following the other over the same inputs.
         let mut plain = Vec::new();
+        // A fixed count is split between the two kinds.
         phase(
             args.seconds,
+            W::iterations(args.seconds).map(|n| n.div_ceil(2)),
+            &mut cal,
             || tracer.len() >= SPAN_CAP,
             |i| {
-                plain.push(w.step(&ctx, i)?);
-                w.traced_step(&ctx, i, &tracer)
+                if i % 2 == 0 {
+                    plain.push(w.step(&ctx, i)?);
+                    w.traced_step(&ctx, i, &tracer)
+                } else {
+                    let traced = w.traced_step(&ctx, i, &tracer)?;
+                    plain.push(w.step(&ctx, i)?);
+                    Ok(traced)
+                }
             },
         )
         .map(|traced| (plain, traced))
     } else {
-        phase(args.seconds, || false, |i| w.step(&ctx, i)).map(|plain| (plain, Vec::new()))
+        phase(
+            args.seconds,
+            W::iterations(args.seconds),
+            &mut cal,
+            || false,
+            |i| w.step(&ctx, i),
+        )
+        .map(|plain| (plain, Vec::new()))
     };
     // A check failing inside an iteration ends the run without a result.
     let (plain, traced) = match timed {
@@ -246,27 +312,34 @@ fn run<W: Workload>(args: &Args) -> Result<i32, String> {
         problems.push(format!("{failed} of {attempted} operations failed"));
     }
 
+    // Host-time figures of the untraced iterations, as measured.
+    let raw_setup_s = stats::median(&setup_secs);
+    let raw_cells_per_s = rate(&plain, W::TYPICAL_RATE, |s| s.cells as f64);
+    let raw_mips = rate(&plain, W::TYPICAL_RATE, |s| s.insts as f64 / 1e6);
     let out = if args.trace {
         let mut m = MetricSet::new(&PER_LAYER);
         w.layers(&ctx, &tracer, traced.len(), &mut m)?;
-        let plain_rate = rate(&plain, |s| s.cells as f64);
-        let traced_rate = rate(&traced, |s| s.cells as f64);
+        let traced_rate = rate(&traced, W::TYPICAL_RATE, |s| s.cells as f64);
         m.set(
             "trace.overhead_pct",
-            (plain_rate / traced_rate - 1.0) * 100.0,
+            (raw_cells_per_s / traced_rate - 1.0) * 100.0,
         );
         m.set("host.peak_rss_mb", host::peak_rss_mb());
+        m.set("host.calib_ms", cal.mean_pass_s() * 1e3);
         m.set(
             "trace.iter_s",
             stats::median(&traced.iter().map(|s| s.secs).collect::<Vec<_>>()),
         );
         m
     } else {
+        // Times read as reference-host seconds (see `calib`); the raw
+        // figures are printed beside the result line.
+        let f = cal.factor();
         let mut m = MetricSet::new(&END_TO_END);
-        m.set("setup_s", stats::median(&setup_secs));
-        m.set("cells_per_s", rate(&plain, |s| s.cells as f64));
-        m.set("mips", rate(&plain, |s| s.insts as f64 / 1e6));
-        m.set("peak_heap_mb", host::peak_heap_mb());
+        m.set("setup_s", raw_setup_s / f);
+        m.set("cells_per_s", raw_cells_per_s * f);
+        m.set("mips", raw_mips * f);
+        m.set("peak_heap_mb", host::peak_heap_mb() - mib(cal.bytes()));
         m
     };
 
@@ -290,6 +363,15 @@ fn run<W: Workload>(args: &Args) -> Result<i32, String> {
             .collect::<Vec<_>>()
             .join(" "),
         secs.join(" ")
+    );
+    println!(
+        "calibration passes={} mean_pass_s={:.5} factor={:.4} raw setup_s={:.4} cells_per_s={:.4} mips={:.4}",
+        cal.passes(),
+        cal.mean_pass_s(),
+        cal.factor(),
+        raw_setup_s,
+        raw_cells_per_s,
+        raw_mips
     );
     println!("sim_digest {digest:016x}");
     if args.trace {

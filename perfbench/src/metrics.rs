@@ -29,7 +29,7 @@ pub const END_TO_END: [(&str, &str, bool); 4] = [
 /// Times and counts are per iteration of the workload (one request,
 /// pass or campaign) unless the name says otherwise. A layer a workload
 /// does not exercise reports 0.
-pub const PER_LAYER: [(&str, &str, bool); 74] = [
+pub const PER_LAYER: [(&str, &str, bool); 75] = [
     ("workloads.gen_s", "s", false),
     ("workloads.programs", "count", true),
     ("program.fuzz_gen_s", "s", false),
@@ -104,6 +104,7 @@ pub const PER_LAYER: [(&str, &str, bool); 74] = [
     ("trace.overhead_pct", "%", false),
     ("trace.iter_s", "s", false),
     ("host.peak_rss_mb", "MB", false),
+    ("host.calib_ms", "ms", false),
 ];
 
 /// Whether `name` is a valid metric or workload name: starts with a

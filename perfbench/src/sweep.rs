@@ -4,9 +4,11 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
+use dda_bench::dse::DEFAULT_BUDGET;
 use dda_bench::{
     config_fingerprint, pool, program_fingerprint, result_key, CellOutcome, CellReport, CellStatus,
     DseCell, DseRequest, DseService, ResultStore, RunPlan, KERNEL_VERSION,
@@ -27,18 +29,15 @@ use crate::{Ctx, Step, Workload};
 /// The paper's (N+M) port grid.
 const GRID: [(u32, u32); 6] = [(2, 0), (1, 1), (2, 2), (4, 2), (8, 4), (16, 0)];
 
-/// Committed-instruction budget of every cell before the seed's offset.
-const BASE_BUDGET: u64 = 20_000;
-
 /// Cells re-run under `reference_kernel` after the timed phase.
 const REFERENCE_CHECKS: usize = 6;
 
 /// The request both DSE workloads issue: 12 benchmarks × the paper grid ×
-/// combining {1,2} × fast forwarding {off,on}, full detailed cells. The
-/// seed moves the workload scale (so every cache key) and the cell budget
-/// (by under 2.6 %).
+/// combining {1,2} × fast forwarding {off,on}, full detailed cells of the
+/// service's default budget. The seed moves the workload scale (so every
+/// cache key) and the cell budget (by under 1.8 %).
 pub fn request(seed: u64) -> (DseRequest, u64) {
-    let budget = BASE_BUDGET + mix(seed, 2) % 512;
+    let budget = DEFAULT_BUDGET + mix(seed, 2) % 512;
     let req = DseRequest {
         benches: Benchmark::ALL.to_vec(),
         grid: GRID.to_vec(),
@@ -454,41 +453,51 @@ fn traced_request(
     }
     let mut errors = 0;
     let mut sim_insts = 0;
-    if !misses.is_empty() {
-        let results = tr.span("pool.run", 0, rid, |pid| {
-            let submitted = tr.now();
-            let tasks: Vec<_> = misses
-                .iter()
-                .map(|(i, _, cell, program)| {
-                    let cid = cell_id(*i);
-                    let program = Arc::clone(program);
-                    move || {
-                        tr.record(Span {
-                            id: 0,
-                            parent: pid,
-                            cell: cid,
-                            name: "pool.queue_wait",
-                            start: submitted,
-                            end: tr.now(),
-                        });
-                        tr.span("core.run", cid, pid, |_| {
-                            Simulator::new(cell.cfg.clone())
-                                .and_then(|s| s.run_shared_detailed(program, budget))
-                        })
-                    }
-                })
-                .collect();
-            pool::run_tasks(tasks, workers)
+    // As in the service, the pool runs on a thread of its own and every
+    // result is saved by the receiving thread while the workers go on.
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            tr.span("pool.run", 0, rid, |pid| {
+                let submitted = tr.now();
+                let tasks: Vec<_> = misses
+                    .into_iter()
+                    .map(|(i, key, cell, program)| {
+                        let tx = tx.clone();
+                        let cid = cell_id(i);
+                        move || {
+                            tr.record(Span {
+                                id: 0,
+                                parent: pid,
+                                cell: cid,
+                                name: "pool.queue_wait",
+                                start: submitted,
+                                end: tr.now(),
+                            });
+                            // Caught here, as the service does, so every
+                            // cell sends a result.
+                            let res = tr.span("core.run", cid, pid, |_| {
+                                catch_unwind(AssertUnwindSafe(|| {
+                                    Simulator::new(cell.cfg.clone())
+                                        .and_then(|s| s.run_shared_detailed(program, budget))
+                                }))
+                            });
+                            let _ = tx.send((i, key, res));
+                        }
+                    })
+                    .collect();
+                drop(tx);
+                pool::run_tasks(tasks, workers);
+            });
         });
-        for ((i, key, _, _), res) in misses.iter().zip(results) {
+        for (i, key, res) in rx {
             match res {
                 Ok(Ok((r, tc))) => {
                     count_sim(tr, &r);
                     count_tcache(tr, &tc);
                     sim_insts += r.committed;
                     let outcome = CellOutcome::Full(r);
-                    let saved =
-                        tr.span("dse.save", cell_id(*i), rid, |_| store.save(*key, &outcome));
+                    let saved = tr.span("dse.save", cell_id(i), rid, |_| store.save(key, &outcome));
                     if let Ok(path) = saved {
                         if let Ok(md) = std::fs::metadata(path) {
                             tr.count("dse.record_bytes", md.len() as f64);
@@ -496,7 +505,7 @@ fn traced_request(
                         }
                     }
                     tr.count("dse.misses", 1.0);
-                    out[*i] = Some((CellStatus::Miss, outcome));
+                    out[i] = Some((CellStatus::Miss, outcome));
                 }
                 _ => {
                     tr.count("dse.errors", 1.0);
@@ -504,7 +513,7 @@ fn traced_request(
                 }
             }
         }
-    }
+    });
     (out, errors, sim_insts)
 }
 
