@@ -10,8 +10,8 @@ use crate::pool;
 
 /// Drains up to `budget` instructions of `vm`'s dynamic stream through
 /// `observe` — the one shared warm-up/profiling loop (the experiment
-/// tables, the figure benches and [`profile`] all route through here
-/// instead of hand-rolling a `vm.step()` drain each).
+/// tables, the fuzzer's coverage pass and [`profile`] all route through
+/// here instead of hand-rolling a `vm.step()` drain each).
 ///
 /// Replays pre-decoded basic blocks via [`Vm::step_block`], so profiling
 /// sweeps run at translation-cache speed; the observed prefix is
@@ -142,106 +142,43 @@ pub fn workload_stats(bench: Benchmark) -> ProfiledWorkload {
     profile(bench, profile_budget())
 }
 
-/// Runs `bench` on `cfg` for the default pipeline budget.
+/// Runs one benchmark under several configurations on the work-stealing
+/// pool for the default pipeline budget — the figure form of
+/// [`run_matrix_checked`]. Returns results in the same order as `cfgs`.
 ///
 /// # Panics
 ///
-/// Panics if the configuration is invalid or the run fails — generated
-/// benchmarks are expected to execute cleanly. Use
-/// [`run_config_checked`] to get the [`SimError`] instead.
-pub fn run_config(bench: Benchmark, cfg: MachineConfig) -> SimResult {
-    run_config_checked(bench, cfg).expect("benchmark executes cleanly")
-}
-
-/// Like [`run_config`] but surfacing failures as values: an invalid
-/// configuration, a guest trap, a watchdog deadlock, or an invariant
-/// violation all come back as a structured [`SimError`] instead of a
-/// panic — the form fault campaigns and robustness sweeps consume.
-pub fn run_config_checked(bench: Benchmark, cfg: MachineConfig) -> Result<SimResult, SimError> {
-    run_config_checked_with_budget(bench, cfg, pipeline_budget())
-}
-
-/// [`run_config_checked`] with an explicit committed-instruction budget
-/// instead of the process-wide `DDA_BUDGET` default — the form tests use,
-/// so they never mutate (or race on) process environment state.
-pub fn run_config_checked_with_budget(
-    bench: Benchmark,
-    cfg: MachineConfig,
-    budget: u64,
-) -> Result<SimResult, SimError> {
-    let program = Arc::new(bench.program(u32::MAX / 2));
-    Simulator::new(cfg)?.run_shared(program, budget)
-}
-
-/// Runs one benchmark under several configurations on the work-stealing
-/// pool.
-///
-/// The program is generated once and shared (`Arc`) across the sweep
-/// rather than regenerated or cloned per configuration.
-///
-/// Returns results in the same order as `cfgs`.
+/// Panics if any configuration is invalid or any run fails — generated
+/// benchmarks are expected to execute cleanly. Use [`run_matrix_checked`]
+/// to get each run's [`SimError`] instead.
 pub fn run_configs_for(bench: Benchmark, cfgs: &[MachineConfig]) -> Vec<SimResult> {
-    run_configs_checked(bench, cfgs)
+    run_matrix_checked(&[bench], cfgs, pipeline_budget())
         .into_iter()
+        .flatten()
         .map(|r| r.expect("benchmark executes cleanly"))
         .collect()
 }
 
-/// Like [`run_configs_for`] but each run's failure stays its own
-/// [`SimError`]: one wedged or faulting configuration degrades to one
-/// structured per-run failure without tearing down the rest of the sweep.
-/// A panicking worker likewise degrades to [`SimError::WorkerPanic`] for
-/// that run alone.
-pub fn run_configs_checked(
-    bench: Benchmark,
-    cfgs: &[MachineConfig],
-) -> Vec<Result<SimResult, SimError>> {
-    run_configs_checked_with_budget(bench, cfgs, pipeline_budget())
-}
-
-/// [`run_configs_checked`] with an explicit budget (see
-/// [`run_config_checked_with_budget`]).
-pub fn run_configs_checked_with_budget(
-    bench: Benchmark,
-    cfgs: &[MachineConfig],
-    budget: u64,
-) -> Vec<Result<SimResult, SimError>> {
-    let program = Arc::new(bench.program(u32::MAX / 2));
-    let tasks: Vec<_> = cfgs
-        .iter()
-        .map(|cfg| {
-            let cfg = cfg.clone();
-            let program = Arc::clone(&program);
-            move || Simulator::new(cfg)?.run_shared(program, budget)
-        })
-        .collect();
-    let workers = pool::default_workers(tasks.len());
-    pool::run_tasks(tasks, workers)
-        .into_iter()
-        .map(flatten_task)
-        .collect()
-}
-
 /// Runs the full `benches` × `cfgs` matrix as independent tasks on the
-/// work-stealing pool — the figure-regeneration shape, where per-config
-/// parallelism alone underuses wide machines. Each program is generated
-/// once and shared across its row. Results come back as
-/// `result[bench_index][cfg_index]`, deterministically, regardless of how
-/// the pool interleaved the tasks.
+/// work-stealing pool. Each program is generated once and shared (`Arc`)
+/// across its row. Results come back as `result[bench_index][cfg_index]`,
+/// deterministically, regardless of how the pool interleaved the tasks.
+///
+/// Failures are values: an invalid configuration, a guest trap, a
+/// watchdog deadlock or an invariant violation comes back as that run's
+/// [`SimError`], and a panicking worker as [`SimError::WorkerPanic`],
+/// without tearing down the rest of the sweep.
 pub fn run_matrix_checked(
     benches: &[Benchmark],
     cfgs: &[MachineConfig],
     budget: u64,
 ) -> Vec<Vec<Result<SimResult, SimError>>> {
-    let programs: Vec<_> = benches
-        .iter()
-        .map(|b| Arc::new(b.program(u32::MAX / 2)))
-        .collect();
     let mut tasks = Vec::with_capacity(benches.len() * cfgs.len());
-    for program in &programs {
+    for bench in benches {
+        let program = Arc::new(bench.program(u32::MAX / 2));
         for cfg in cfgs {
             let cfg = cfg.clone();
-            let program = Arc::clone(program);
+            let program = Arc::clone(&program);
             tasks.push(move || Simulator::new(cfg)?.run_shared(program, budget));
         }
     }
@@ -251,19 +188,8 @@ pub fn run_matrix_checked(
         .map(flatten_task);
     benches
         .iter()
-        .map(|_| (0..cfgs.len()).map(|_| flatten_next(&mut flat)).collect())
+        .map(|_| flat.by_ref().take(cfgs.len()).collect())
         .collect()
-}
-
-fn flatten_next(
-    it: &mut impl Iterator<Item = Result<SimResult, SimError>>,
-) -> Result<SimResult, SimError> {
-    match it.next() {
-        Some(r) => r,
-        None => Err(SimError::WorkerPanic(
-            "pool returned too few results".to_string(),
-        )),
-    }
 }
 
 /// Collapses a pool task result: a caught worker panic becomes a
@@ -307,13 +233,23 @@ mod tests {
         assert_eq!(profile_budget(), 2_000_000);
     }
 
+    /// The serial reference: one run on the calling thread, no pool.
+    fn serial(bench: Benchmark, cfg: &MachineConfig) -> SimResult {
+        let program = bench.program(u32::MAX / 2);
+        Simulator::new(cfg.clone())
+            .unwrap()
+            .run(&program, TEST_BUDGET)
+            .unwrap()
+    }
+
     #[test]
     fn parallel_sweep_matches_serial() {
         let cfgs = [MachineConfig::n_plus_m(2, 0), MachineConfig::n_plus_m(4, 0)];
-        let results = run_configs_checked_with_budget(Benchmark::Li, &cfgs, TEST_BUDGET);
-        let serial =
-            run_config_checked_with_budget(Benchmark::Li, cfgs[0].clone(), TEST_BUDGET).unwrap();
-        assert_eq!(*results[0].as_ref().unwrap(), serial);
+        let results = run_matrix_checked(&[Benchmark::Li], &cfgs, TEST_BUDGET).remove(0);
+        assert_eq!(
+            *results[0].as_ref().unwrap(),
+            serial(Benchmark::Li, &cfgs[0])
+        );
         let (r0, r1) = (results[0].as_ref().unwrap(), results[1].as_ref().unwrap());
         assert!(r1.ipc() >= r0.ipc() * 0.95);
     }
@@ -326,8 +262,8 @@ mod tests {
             MachineConfig::n_plus_m(2, 2),
             MachineConfig::n_plus_m(4, 2).with_optimizations(),
         ];
-        let first = run_configs_checked_with_budget(Benchmark::Compress, &cfgs, TEST_BUDGET);
-        let second = run_configs_checked_with_budget(Benchmark::Compress, &cfgs, TEST_BUDGET);
+        let first = run_matrix_checked(&[Benchmark::Compress], &cfgs, TEST_BUDGET);
+        let second = run_matrix_checked(&[Benchmark::Compress], &cfgs, TEST_BUDGET);
         assert_eq!(first, second);
     }
 
@@ -340,11 +276,9 @@ mod tests {
         for (bi, bench) in benches.iter().enumerate() {
             assert_eq!(matrix[bi].len(), cfgs.len());
             for (ci, cfg) in cfgs.iter().enumerate() {
-                let serial =
-                    run_config_checked_with_budget(*bench, cfg.clone(), TEST_BUDGET).unwrap();
                 assert_eq!(
                     *matrix[bi][ci].as_ref().unwrap(),
-                    serial,
+                    serial(*bench, cfg),
                     "({bi},{ci}) diverged"
                 );
             }
@@ -356,7 +290,7 @@ mod tests {
         let mut bad = MachineConfig::n_plus_m(2, 0);
         bad.rob_size = 0;
         let cfgs = [MachineConfig::n_plus_m(2, 0), bad];
-        let results = run_configs_checked_with_budget(Benchmark::Li, &cfgs, TEST_BUDGET);
+        let results = run_matrix_checked(&[Benchmark::Li], &cfgs, TEST_BUDGET).remove(0);
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(SimError::Config(_))));
     }
@@ -366,11 +300,8 @@ mod tests {
         // Drive the pool through the same flattening the harness uses.
         let tasks: Vec<Box<dyn FnOnce() -> Result<SimResult, SimError> + Send>> = vec![
             Box::new(|| {
-                run_config_checked_with_budget(
-                    Benchmark::Compress,
-                    MachineConfig::n_plus_m(2, 0),
-                    5_000,
-                )
+                let program = Benchmark::Compress.program(u32::MAX / 2);
+                Simulator::new(MachineConfig::n_plus_m(2, 0))?.run(&program, 5_000)
             }),
             Box::new(|| panic!("poisoned task")),
         ];

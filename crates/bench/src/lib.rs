@@ -2,10 +2,11 @@
 //!
 //! One function per table/figure of the paper's evaluation (§4), each
 //! returning the printable [`dda_stats::Table`]s that regenerate it, plus the
-//! `experiments` binary that runs them from the command line, the
-//! `throughput` binary that records simulator MIPS, and the figure
-//! benches under `benches/` (running on the in-tree [`microbench`]
-//! harness so `cargo bench` needs no network access).
+//! `experiments` binary that runs them from the command line and the
+//! `throughput` binary that records simulator MIPS. Every pipeline cell of
+//! a figure runs through [`run_matrix_checked`] on the [`pool`]; the
+//! memoized [`dse`] engine runs its cells through [`compute_cell`] on the
+//! same pool.
 //!
 //! The harness runs every benchmark for a fixed instruction budget
 //! (configurable via `DDA_BUDGET`, default 300 000 committed instructions
@@ -17,7 +18,6 @@ pub mod checkpoint;
 pub mod dse;
 mod experiments;
 mod harness;
-pub mod microbench;
 pub mod pool;
 pub mod sampling;
 
@@ -26,7 +26,6 @@ pub use dse::{
     compute_cell, result_key, CellOutcome, CellReport, CellStatus, DseCell, DseRequest, DseService,
     DseSummary, ResultStore, RunPlan, SampledCell, KERNEL_VERSION,
 };
-pub use microbench::{Bencher, BenchmarkGroup, Criterion, Throughput};
 pub use sampling::{
     sample_program, sample_program_adaptive, sample_program_stored, tags_from_checkpoint,
     Confidence, Estimate, SampledRun, SamplingConfig, WindowSample,
@@ -40,7 +39,6 @@ pub use experiments::{
     table3_fast_forwarding,
 };
 pub use harness::{
-    drain_stream, pipeline_budget, profile, profile_budget, run_config, run_config_checked,
-    run_config_checked_with_budget, run_configs_checked, run_configs_checked_with_budget,
-    run_configs_for, run_matrix_checked, set_default_budgets, workload_stats, ProfiledWorkload,
+    drain_stream, pipeline_budget, profile, profile_budget, run_configs_for, run_matrix_checked,
+    set_default_budgets, workload_stats, ProfiledWorkload,
 };

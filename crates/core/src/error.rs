@@ -223,7 +223,7 @@ pub enum SimError {
     /// poisoned run degrades to one structured failure instead of
     /// tearing down the whole sweep.
     WorkerPanic(String),
-    /// Warm cache-tag state handed to [`crate::Simulator::run_from_warm`]
+    /// Warm cache-tag state handed to [`crate::Simulator::run_window`]
     /// does not fit this machine's hierarchy (LVC presence or a cache
     /// geometry differs).
     WarmStateMismatch,

@@ -274,50 +274,14 @@ impl Simulator {
         Ok((res, records))
     }
 
-    /// Runs from an already-positioned functional machine — the hand-off
-    /// point of a fast-forwarded or checkpoint-restored [`Vm`] — until it
-    /// halts or `max_instructions` *more* have been committed.
-    ///
-    /// The pipeline and caches start cold, exactly as a detailed run
-    /// started from the same architectural state would; two calls with
-    /// bit-identical `vm` states produce bit-identical results.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Simulator::run`].
-    pub fn run_from(&self, vm: Vm, max_instructions: u64) -> Result<SimResult, SimError> {
-        let mut core = Core::new(&self.cfg, vm, None);
-        core.run(max_instructions)
-    }
-
-    /// Like [`Simulator::run_from`], first importing functionally-warmed
-    /// cache-tag state into the (otherwise cold) hierarchy.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::WarmStateMismatch`] when `tags` does not fit this
-    /// machine's hierarchy (LVC presence or any cache geometry differs);
-    /// otherwise as for [`Simulator::run`].
-    pub fn run_from_warm(
-        &self,
-        vm: Vm,
-        tags: Option<&HierarchyTags>,
-        max_instructions: u64,
-    ) -> Result<SimResult, SimError> {
-        let mut core = Core::new(&self.cfg, vm, None);
-        if let Some(t) = tags {
-            if !core.hier.import_tags(t) {
-                return Err(SimError::WarmStateMismatch);
-            }
-        }
-        core.run(max_instructions)
-    }
-
-    /// Runs a detailed measurement window from a positioned [`Vm`]: a
-    /// warm-up prefix of `warmup_insts` commits (simulated in full detail
-    /// but discarded from the window statistics), then `window_insts`
-    /// measured commits. Optional `tags` pre-warm the caches as in
-    /// [`Simulator::run_from_warm`]. The warm-up boundary is quantized by
+    /// Runs a detailed measurement window from a positioned [`Vm`] — the
+    /// hand-off point of a fast-forwarded or checkpoint-restored machine:
+    /// a warm-up prefix of `warmup_insts` commits (simulated in full
+    /// detail but discarded from the window statistics), then
+    /// `window_insts` measured commits. The pipeline starts cold; optional
+    /// `tags` import functionally-warmed cache-tag state into the
+    /// hierarchy first. Two calls with bit-identical `vm` states produce
+    /// bit-identical results. The warm-up boundary is quantized by
     /// the wide commit stage — the prefix ends at the first commit-stage
     /// boundary at or after `warmup_insts`, so the measured window may be
     /// up to commit-width − 1 instructions short of `window_insts`; use
@@ -325,12 +289,14 @@ impl Simulator {
     ///
     /// The returned [`WindowRun`] carries both the whole run (`total`)
     /// and the carved-out window (`window`). The marking machinery never
-    /// perturbs the simulation: `total` is bit-identical to what
-    /// [`Simulator::run_from_warm`] would return for the same budget.
+    /// perturbs the simulation: `total` is bit-identical to an unmarked
+    /// run (`warmup_insts == 0`) of the same budget.
     ///
     /// # Errors
     ///
-    /// As for [`Simulator::run_from_warm`].
+    /// [`SimError::WarmStateMismatch`] when `tags` does not fit this
+    /// machine's hierarchy (LVC presence or any cache geometry differs);
+    /// otherwise as for [`Simulator::run`].
     pub fn run_window(
         &self,
         vm: Vm,
@@ -2970,7 +2936,7 @@ mod tests {
     fn marking_never_perturbs_the_run() {
         let p = windowed_program();
         let sim = Simulator::new(MachineConfig::n_plus_m(4, 2).with_optimizations()).unwrap();
-        let plain = sim.run_from(Vm::new(p.clone()), 1200).unwrap();
+        let plain = sim.run(&p, 1200).unwrap();
         let w = sim.run_window(Vm::new(p.clone()), None, 500, 700).unwrap();
         // The mark snapshot (draining occupancy flush included) must not
         // change anything about the run itself.
@@ -3002,15 +2968,15 @@ mod tests {
     }
 
     #[test]
-    fn run_from_a_fast_forwarded_vm_is_deterministic_and_continues() {
+    fn window_from_a_fast_forwarded_vm_is_deterministic_and_continues() {
         let p = windowed_program();
         let sim = Simulator::new(MachineConfig::n_plus_m(4, 2).with_optimizations()).unwrap();
         let mut vm1 = Vm::new(p.clone());
         vm1.fast_forward(700).unwrap();
         let mut vm2 = Vm::new(p);
         vm2.fast_forward(700).unwrap();
-        let a = sim.run_from(vm1, 300).unwrap();
-        let b = sim.run_from(vm2, 300).unwrap();
+        let a = sim.run_window(vm1, None, 0, 300).unwrap().total;
+        let b = sim.run_window(vm2, None, 0, 300).unwrap().total;
         assert_eq!(a, b);
         assert_eq!(a.committed, 300);
         assert!(!a.halted);
@@ -3023,7 +2989,7 @@ mod tests {
         let donor = Hierarchy::new(dda_mem::HierarchyConfig::n_plus_m(4, 2));
         let tags = donor.export_tags();
         let sim = Simulator::new(MachineConfig::iscapaper_base()).unwrap();
-        let err = sim.run_from_warm(Vm::new(p), Some(&tags), 100).unwrap_err();
+        let err = sim.run_window(Vm::new(p), Some(&tags), 0, 100).unwrap_err();
         assert_eq!(err, SimError::WarmStateMismatch);
     }
 
@@ -3044,8 +3010,11 @@ mod tests {
         })
         .unwrap();
         let tags = warm.tags();
-        let cold = sim.run_from(Vm::new(p.clone()), 2_000).unwrap();
-        let warmed = sim.run_from_warm(Vm::new(p), Some(&tags), 2_000).unwrap();
+        let cold = sim.run(&p, 2_000).unwrap();
+        let warmed = sim
+            .run_window(Vm::new(p), Some(&tags), 0, 2_000)
+            .unwrap()
+            .total;
         assert_eq!(cold.committed, warmed.committed);
         assert!(
             warmed.l1.misses < cold.l1.misses,

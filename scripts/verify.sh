@@ -32,7 +32,7 @@
 #
 # The fmt gate keeps the tree `cargo fmt`-clean; the clippy gate bans
 # `.unwrap()`/`.expect()` from the hot simulation crates' library code
-# (tests and benches are exempt via cfg(test)): every runtime failure
+# (tests are exempt via cfg(test)): every runtime failure
 # there must surface as a typed error value.
 
 set -euo pipefail
@@ -51,6 +51,18 @@ cargo build --release
 
 echo "== tier-1: cargo test -q"
 cargo test -q
+
+# The root `cargo test` runs only the `dda` package's tests; the crates'
+# own unit tests and doc tests (pipeline, DSE engine, harness, ...) run
+# here.
+echo "== crate unit tests: cargo test -q --workspace"
+cargo test -q --workspace
+
+# The repository benchmark is a separate Cargo workspace that builds the
+# crates from source; compiling and testing it here catches a removed or
+# renamed public item it imports.
+echo "== benchmark: cargo test --offline -q --manifest-path perfbench/Cargo.toml"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== fmt: cargo fmt --check"
 cargo fmt --check
@@ -91,36 +103,6 @@ cargo run --release -q -p dda-bench --bin sampling -- \
 # bit-identical to continuous simulation, fault injection included.
 echo "== checkpoint round-trip (tests/checkpoint_roundtrip.rs)"
 cargo test --release -q --test checkpoint_roundtrip
-
-# DSE service smoke: a real dse_server on an ephemeral port serves a
-# 2x2 grid twice — the first pass simulates and streams at least one
-# incremental CELL line, the second must be all cache hits with zero
-# simulated instructions. Then the staleness gate: the committed
-# BENCH_dse.json must have been generated at this build's
-# KERNEL_VERSION (a kernel bump without regeneration fails here).
-echo "== DSE service smoke (server + client, cold then warm)"
-DSE_TMP="target/dse_smoke"
-rm -rf "$DSE_TMP"; mkdir -p "$DSE_TMP"
-target/release/dse_server --addr 127.0.0.1:0 \
-    --store "$DSE_TMP/results" --ckpt "$DSE_TMP/ckpt" --once 2 \
-    > "$DSE_TMP/server.out" 2> "$DSE_TMP/server.err" &
-DSE_PID=$!
-DSE_ADDR=""
-for _ in $(seq 1 100); do
-    DSE_ADDR=$(awk '/^LISTENING/{print $2}' "$DSE_TMP/server.out" 2>/dev/null || true)
-    [ -n "$DSE_ADDR" ] && break
-    sleep 0.1
-done
-[ -n "$DSE_ADDR" ] || { echo "dse_server never reported LISTENING" >&2; kill "$DSE_PID" 2>/dev/null || true; exit 1; }
-target/release/dse --addr "$DSE_ADDR" \
-    --benches compress,li --grid 2+0,4+2 --budget 3000 --expect-stream
-target/release/dse --addr "$DSE_ADDR" \
-    --benches compress,li --grid 2+0,4+2 --budget 3000 \
-    --expect-all-hits --expect-stream
-wait "$DSE_PID"
-
-echo "== DSE staleness gate (BENCH_dse.json vs KERNEL_VERSION)"
-target/release/dse --check-stale BENCH_dse.json
 
 if [ "$QUICK" = 1 ]; then
     # Perf smoke: two workloads, one rep. The binary itself asserts the

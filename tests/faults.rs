@@ -252,7 +252,10 @@ fn checked_harness_reports_structured_failures_per_run() {
     // entry points degrade that run to an Err value and the good runs
     // still return results.
     let good = MachineConfig::n_plus_m(4, 2).with_optimizations();
-    let results = dda_bench::run_configs_checked(Benchmark::Compress, &[good, wedged_config()]);
+    let mut matrix =
+        dda_bench::run_matrix_checked(&[Benchmark::Compress], &[good, wedged_config()], BUDGET);
+    assert_eq!(matrix.len(), 1);
+    let results = matrix.remove(0);
     assert_eq!(results.len(), 2);
     assert!(results[0].is_ok(), "the healthy config still simulates");
     assert!(
