@@ -9,83 +9,88 @@
 //! Budgets are controlled by `DDA_BUDGET` (pipeline runs, default 300000
 //! committed instructions) and `DDA_PROFILE_BUDGET` (profiling runs,
 //! default 2000000).
+//!
+//! Every pipeline cell goes through one memoized [`DseService`] over a
+//! persistent result store in the workspace's `target/experiments-store`,
+//! so a rerun at the same budget is served from the store (records are
+//! keyed by budget, configuration, program and `KERNEL_VERSION`). After
+//! each experiment its hits, misses and instructions simulated go to
+//! stderr.
 
+use std::path::Path;
 use std::time::Instant;
 
+use dda_bench::{DseService, ResultStore};
 use dda_stats::Table;
 
-type Exp = (&'static str, &'static str, fn() -> Vec<Table>);
-
-fn one(f: fn() -> Table) -> Vec<Table> {
-    vec![f()]
-}
+type Exp = (&'static str, &'static str, fn(&DseService) -> Vec<Table>);
 
 fn registry() -> Vec<Exp> {
     vec![
-        ("table1", "base machine model", || {
-            one(dda_bench::table1_machine_model)
+        ("table1", "base machine model", |_| {
+            vec![dda_bench::table1_machine_model()]
         }),
-        ("table2", "benchmark roster", || {
-            one(dda_bench::table2_benchmarks)
+        ("table2", "benchmark roster", |_| {
+            vec![dda_bench::table2_benchmarks()]
         }),
-        ("fig2", "instruction mix / local fractions", || {
-            one(dda_bench::fig2_instruction_mix)
+        ("fig2", "instruction mix / local fractions", |_| {
+            vec![dda_bench::fig2_instruction_mix()]
         }),
-        ("fig3", "frame-size distributions", || {
-            one(dda_bench::fig3_frame_sizes)
+        ("fig3", "frame-size distributions", |_| {
+            vec![dda_bench::fig3_frame_sizes()]
         }),
-        ("fig5", "(N+0) bandwidth requirements", || {
-            one(dda_bench::fig5_bandwidth)
+        ("fig5", "(N+0) bandwidth requirements", |s| {
+            vec![dda_bench::fig5_bandwidth(s)]
         }),
-        ("fig6", "LVC miss rate vs size", || {
-            one(dda_bench::fig6_lvc_size)
+        ("fig6", "LVC miss rate vs size", |_| {
+            vec![dda_bench::fig6_lvc_size()]
         }),
-        ("fig7", "(N+M) performance, no optimizations", || {
-            one(dda_bench::fig7_lvc_ports)
+        ("fig7", "(N+M) performance, no optimizations", |s| {
+            vec![dda_bench::fig7_lvc_ports(s)]
         }),
-        ("table3", "fast data forwarding", || {
-            one(dda_bench::table3_fast_forwarding)
+        ("table3", "fast data forwarding", |s| {
+            vec![dda_bench::table3_fast_forwarding(s)]
         }),
-        ("fig8", "access combining", || {
-            one(dda_bench::fig8_combining)
+        ("fig8", "access combining", |s| {
+            vec![dda_bench::fig8_combining(s)]
         }),
-        ("fig9", "(N+M) performance, optimized", || {
-            one(dda_bench::fig9_optimized)
+        ("fig9", "(N+M) performance, optimized", |s| {
+            vec![dda_bench::fig9_optimized(s)]
         }),
-        ("fig10", "cache-latency sensitivity", || {
-            one(dda_bench::fig10_latency_sensitivity)
+        ("fig10", "cache-latency sensitivity", |s| {
+            vec![dda_bench::fig10_latency_sensitivity(s)]
         }),
         (
             "fig11",
             "per-program (N+M) surfaces",
             dda_bench::fig11_per_program,
         ),
-        ("l2traffic", "L2 traffic with/without LVC", || {
-            one(dda_bench::l2_traffic)
+        ("l2traffic", "L2 traffic with/without LVC", |s| {
+            vec![dda_bench::l2_traffic(s)]
         }),
-        ("lvclat", "(3+3) and LVC latency", || {
-            one(dda_bench::lvc_latency)
+        ("lvclat", "(3+3) and LVC latency", |s| {
+            vec![dda_bench::lvc_latency(s)]
         }),
-        ("smalll1", "§4.4: small fast L1 alternative", || {
-            one(dda_bench::small_l1)
+        ("smalll1", "§4.4: small fast L1 alternative", |s| {
+            vec![dda_bench::small_l1(s)]
         }),
-        ("linesize", "§4.2.1: LVC line-size sensitivity", || {
-            one(dda_bench::lvc_line_size)
+        ("linesize", "§4.2.1: LVC line-size sensitivity", |_| {
+            vec![dda_bench::lvc_line_size()]
         }),
-        ("lvaqsize", "ablation: LVAQ size", || {
-            one(dda_bench::ablation_lvaq_size)
+        ("lvaqsize", "ablation: LVAQ size", |s| {
+            vec![dda_bench::ablation_lvaq_size(s)]
         }),
-        ("steering", "ablation: classification policy", || {
-            one(dda_bench::ablation_steering)
+        ("steering", "ablation: classification policy", |s| {
+            vec![dda_bench::ablation_steering(s)]
         }),
-        ("width", "ablation: issue width", || {
-            one(dda_bench::ablation_issue_width)
+        ("width", "ablation: issue width", |s| {
+            vec![dda_bench::ablation_issue_width(s)]
         }),
-        ("window", "ablation: ROB size", || {
-            one(dda_bench::ablation_window)
+        ("window", "ablation: ROB size", |s| {
+            vec![dda_bench::ablation_window(s)]
         }),
-        ("mshrs", "ablation: MSHR count", || {
-            one(dda_bench::ablation_mshrs)
+        ("mshrs", "ablation: MSHR count", |s| {
+            vec![dda_bench::ablation_mshrs(s)]
         }),
     ]
 }
@@ -119,10 +124,16 @@ fn main() {
             })
             .collect()
     };
+    let store = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments-store");
+    let results = ResultStore::open(&store).unwrap_or_else(|e| {
+        eprintln!("cannot open result store {}: {e}", store.display());
+        std::process::exit(1);
+    });
+    let svc = DseService::new(results, None);
     for (name, desc, f) in selected {
         let start = Instant::now();
         eprintln!("== {name}: {desc} ==");
-        for table in f() {
+        for table in f(&svc) {
             println!("{table}");
         }
         eprintln!(

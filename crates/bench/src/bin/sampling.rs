@@ -136,9 +136,6 @@ fn main() {
     if shape.windows < 2 {
         usage("--windows must be >= 2 for a finite confidence interval");
     }
-    // The sampling budgets become the process-wide defaults, so any
-    // harness code reached from here sees a consistent stream length.
-    dda_bench::set_default_budgets(budget, speed_budget);
     let store = store_dir.as_ref().map(|d| {
         CheckpointStore::open(d).unwrap_or_else(|e| usage(&format!("cannot open store {d}: {e}")))
     });

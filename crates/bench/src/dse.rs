@@ -896,6 +896,92 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Budget of the executor-identity tests below.
+    const TEST_BUDGET: u64 = 60_000;
+
+    fn cells_of(benches: &[Benchmark], cfgs: &[MachineConfig]) -> Vec<DseCell> {
+        benches
+            .iter()
+            .flat_map(|&bench| {
+                cfgs.iter().enumerate().map(move |(ci, cfg)| DseCell {
+                    bench,
+                    cfg: cfg.clone(),
+                    label: format!("{}/{ci}", bench.name()),
+                })
+            })
+            .collect()
+    }
+
+    /// Runs `cells` cold on a fresh store and returns the full results in
+    /// cell order.
+    fn cold_full_results(tag: &str, cells: &[DseCell]) -> Vec<SimResult> {
+        let dir = temp_dir(tag);
+        let svc = DseService::new(ResultStore::open(&dir).expect("store opens"), None);
+        let mut reports = Vec::new();
+        let sum = svc.run_streaming(
+            cells,
+            DEFAULT_SEED,
+            &RunPlan::Full {
+                budget: TEST_BUDGET,
+            },
+            &mut |r| reports.push(r),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            sum.misses,
+            cells.len(),
+            "a fresh store must miss every cell"
+        );
+        reports.sort_by_key(|r| r.index);
+        reports
+            .into_iter()
+            .map(|r| match r.outcome {
+                Some(CellOutcome::Full(res)) => res,
+                other => panic!("{}: expected a full result, got {other:?}", r.label),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn service_cells_match_serial_runs() {
+        let benches = [Benchmark::Compress, Benchmark::Li];
+        let cfgs = [
+            MachineConfig::n_plus_m(2, 0),
+            MachineConfig::n_plus_m(2, 2),
+            MachineConfig::n_plus_m(4, 0),
+        ];
+        let cells = cells_of(&benches, &cfgs);
+        let results = cold_full_results("serial", &cells);
+        for (cell, got) in cells.iter().zip(&results) {
+            // The serial reference: one run on the calling thread, no pool.
+            let program = cell.bench.program(DEFAULT_SEED);
+            let want = Simulator::new(cell.cfg.clone())
+                .unwrap()
+                .run(&program, TEST_BUDGET)
+                .unwrap();
+            assert_eq!(*got, want, "{} diverged from a serial run", cell.label);
+        }
+        // More L1 ports never cost li more than noise.
+        let (li_2p0, li_4p0) = (&results[3], &results[5]);
+        assert!(li_4p0.ipc() >= li_2p0.ipc() * 0.95);
+    }
+
+    #[test]
+    fn cold_services_agree_bit_for_bit() {
+        // Pool scheduling may reorder the misses but never their results.
+        let cells = cells_of(
+            &[Benchmark::Compress],
+            &[
+                MachineConfig::n_plus_m(2, 2),
+                MachineConfig::n_plus_m(4, 2).with_optimizations(),
+            ],
+        );
+        assert_eq!(
+            cold_full_results("cold-a", &cells),
+            cold_full_results("cold-b", &cells)
+        );
+    }
+
     #[test]
     fn a_failing_cell_is_isolated_as_an_error() {
         let dir = temp_dir("error");

@@ -1,4 +1,9 @@
 //! One function per table/figure of the paper's evaluation section.
+//!
+//! Every pipeline cell runs through the memoized [`DseService`]: a figure
+//! builds its whole benchmark × configuration matrix and submits it as
+//! one request, so cells it shares with another figure (or with an
+//! earlier run against the same store) are simulated once.
 
 use dda_core::{MachineConfig, SimResult, SteerPolicy};
 use dda_mem::{CacheConfig, CacheCore};
@@ -6,7 +11,57 @@ use dda_stats::Table;
 use dda_vm::Vm;
 use dda_workloads::Benchmark;
 
-use crate::harness::{pipeline_budget, profile_budget, run_configs_for, workload_stats};
+use crate::dse::{CellOutcome, CellStatus, DseCell, DseService, RunPlan, DEFAULT_SEED};
+use crate::harness::{pipeline_budget, profile_budget, workload_stats};
+
+/// Runs every `benches` × `cfgs` cell through `svc` as one request at the
+/// pipeline budget and returns each benchmark with its results in `cfgs`
+/// order. The request's hits, misses and simulated instructions go to
+/// stderr.
+///
+/// # Panics
+///
+/// Panics with the failing cell's label and error text — generated
+/// benchmarks are expected to execute cleanly.
+fn run_matrix(
+    svc: &DseService,
+    benches: &[Benchmark],
+    cfgs: &[MachineConfig],
+) -> Vec<(Benchmark, Vec<SimResult>)> {
+    let cells: Vec<DseCell> = benches
+        .iter()
+        .flat_map(|&bench| {
+            cfgs.iter().enumerate().map(move |(ci, cfg)| DseCell {
+                bench,
+                cfg: cfg.clone(),
+                label: format!("{}/cfg{ci}", bench.name()),
+            })
+        })
+        .collect();
+    let plan = RunPlan::Full {
+        budget: pipeline_budget(),
+    };
+    let mut results: Vec<Result<SimResult, String>> = vec![Err("no report".into()); cells.len()];
+    let sum = svc.run_streaming(&cells, DEFAULT_SEED, &plan, &mut |rep| {
+        results[rep.index] = match (rep.outcome, rep.status) {
+            (Some(CellOutcome::Full(r)), _) => Ok(r),
+            (_, CellStatus::Error(e)) => Err(e),
+            (_, status) => Err(format!("no full-run result ({})", status.as_str())),
+        };
+    });
+    eprintln!(
+        "   [dse: {} cells, {} hits, {} misses, {} insts simulated]",
+        sum.cells, sum.hits, sum.misses, sum.sim_insts
+    );
+    let mut flat = cells
+        .iter()
+        .zip(results)
+        .map(|(cell, r)| r.unwrap_or_else(|e| panic!("{}: {e}", cell.label)));
+    benches
+        .iter()
+        .map(|&b| (b, flat.by_ref().take(cfgs.len()).collect()))
+        .collect()
+}
 
 fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -198,7 +253,7 @@ pub fn fig3_frame_sizes() -> Table {
 /// Figure 5: performance of (N+0), N = 1..5, relative to the (16+0)
 /// maximum-bandwidth machine (paper: two ports reach ~90 % of the
 /// maximum; three or four are enough).
-pub fn fig5_bandwidth() -> Table {
+pub fn fig5_bandwidth(svc: &DseService) -> Table {
     let ns = [1u32, 2, 3, 4, 5];
     let mut cfgs: Vec<MachineConfig> = ns.iter().map(|&n| MachineConfig::n_plus_m(n, 0)).collect();
     cfgs.push(MachineConfig::n_plus_m(16, 0));
@@ -206,8 +261,7 @@ pub fn fig5_bandwidth() -> Table {
     t.title("Figure 5: (N+0) performance relative to (16+0)");
     t.numeric();
     let mut per_n: Vec<Vec<f64>> = vec![Vec::new(); ns.len()];
-    for b in Benchmark::ALL {
-        let rs = run_configs_for(b, &cfgs);
+    for (b, rs) in run_matrix(svc, &Benchmark::ALL, &cfgs) {
         let max = rs.last().expect("(16+0) run");
         let rels: Vec<f64> = rs[..ns.len()].iter().map(|r| rel(r, max)).collect();
         for (i, v) in rels.iter().enumerate() {
@@ -287,7 +341,7 @@ fn nm_grid(optimized: bool) -> (Vec<(u32, u32)>, Vec<MachineConfig>) {
     (pairs, cfgs)
 }
 
-fn nm_table(title: &str, optimized: bool) -> Table {
+fn nm_table(svc: &DseService, title: &str, optimized: bool) -> Table {
     let (pairs, cfgs) = nm_grid(optimized);
     let mut headers = vec!["benchmark".to_string()];
     headers.extend(pairs.iter().map(|(n, m)| format!("({n}+{m})")));
@@ -299,8 +353,7 @@ fn nm_table(title: &str, optimized: bool) -> Table {
         .position(|&p| p == (2, 0))
         .expect("(2+0) in grid");
     let mut acc: Vec<Vec<f64>> = vec![Vec::new(); pairs.len()];
-    for b in Benchmark::ALL {
-        let rs = run_configs_for(b, &cfgs);
+    for (b, rs) in run_matrix(svc, &Benchmark::ALL, &cfgs) {
         let base = &rs[base_idx];
         let mut row = vec![b.name().to_string()];
         for (i, r) in rs.iter().enumerate() {
@@ -319,14 +372,19 @@ fn nm_table(title: &str, optimized: bool) -> Table {
 /// Figure 7: (N+M) performance without the LVAQ optimizations, relative
 /// to (2+0) (paper: (N+1) degrades, (N+2) restores and gains 1–10 %,
 /// three LVC ports are effectively unlimited).
-pub fn fig7_lvc_ports() -> Table {
-    nm_table("Figure 7: (N+M) relative to (2+0), no optimizations", false)
+pub fn fig7_lvc_ports(svc: &DseService) -> Table {
+    nm_table(
+        svc,
+        "Figure 7: (N+M) relative to (2+0), no optimizations",
+        false,
+    )
 }
 
 /// Figure 9: (N+M) performance with fast data forwarding and 2-way access
 /// combining (paper: the (N+1) configurations recover noticeably).
-pub fn fig9_optimized() -> Table {
+pub fn fig9_optimized(svc: &DseService) -> Table {
     nm_table(
+        svc,
         "Figure 9: (N+M) relative to (2+0), with fast forwarding + 2-way combining",
         true,
     )
@@ -334,14 +392,13 @@ pub fn fig9_optimized() -> Table {
 
 /// Table 3: speedup from fast data forwarding under (3+2) (paper: up to
 /// 3.9 %, zero for 124.m88ksim).
-pub fn table3_fast_forwarding() -> Table {
+pub fn table3_fast_forwarding(svc: &DseService) -> Table {
     let base = MachineConfig::n_plus_m(3, 2);
     let ff = MachineConfig::n_plus_m(3, 2).with_fast_forwarding(true);
     let mut t = Table::new(["benchmark", "speedup", "fast fwds", "% of local loads"]);
     t.title("Table 3: fast data forwarding under (3+2)");
     t.numeric();
-    for b in Benchmark::ALL {
-        let rs = run_configs_for(b, &[base.clone(), ff.clone()]);
+    for (b, rs) in run_matrix(svc, &Benchmark::ALL, &[base, ff]) {
         let s = rel(&rs[1], &rs[0]);
         let loads = rs[1].lvaq.loads.max(1);
         t.row([
@@ -360,7 +417,7 @@ pub fn table3_fast_forwarding() -> Table {
 /// Figure 8: access combining under (3+1) and (3+2) (paper: 2-way
 /// combining gains ≈ 8 % and ≈ 2 % respectively; 130.li and 147.vortex
 /// gain 16 %/26 % under (3+1)).
-pub fn fig8_combining() -> Table {
+pub fn fig8_combining(svc: &DseService) -> Table {
     let degrees = [1u32, 2, 4];
     let mut headers = vec!["benchmark".to_string()];
     for m in [1u32, 2] {
@@ -384,8 +441,7 @@ pub fn fig8_combining() -> Table {
         })
         .collect();
     let mut acc: Vec<Vec<f64>> = vec![Vec::new(); cfgs.len()];
-    for b in Benchmark::ALL {
-        let rs = run_configs_for(b, &cfgs);
+    for (b, rs) in run_matrix(svc, &Benchmark::ALL, &cfgs) {
         let mut row = vec![b.name().to_string()];
         for (i, r) in rs.iter().enumerate() {
             let base = &rs[(i / degrees.len()) * degrees.len()];
@@ -404,7 +460,7 @@ pub fn fig8_combining() -> Table {
 /// Figure 10: sensitivity to L1 hit latency (paper: a 3-cycle (4+0) loses
 /// up to 13.4 % and can fall below (2+0); (2+2) beats the 3-cycle (4+0)
 /// on the integer programs but not the FP ones).
-pub fn fig10_latency_sensitivity() -> Table {
+pub fn fig10_latency_sensitivity(svc: &DseService) -> Table {
     let cfgs = [
         MachineConfig::n_plus_m(2, 0),
         MachineConfig::n_plus_m(2, 2).with_optimizations(),
@@ -421,8 +477,7 @@ pub fn fig10_latency_sensitivity() -> Table {
     t.title("Figure 10: relative to (2+0) with 2-cycle L1 hits");
     t.numeric();
     let mut acc: Vec<Vec<f64>> = vec![Vec::new(); cfgs.len()];
-    for b in Benchmark::ALL {
-        let rs = run_configs_for(b, &cfgs);
+    for (b, rs) in run_matrix(svc, &Benchmark::ALL, &cfgs) {
         let mut row = vec![b.name().to_string()];
         for (i, r) in rs.iter().enumerate() {
             let v = rel(r, &rs[0]);
@@ -439,7 +494,7 @@ pub fn fig10_latency_sensitivity() -> Table {
 
 /// Figure 11: per-program (N+M) surfaces for the four programs the paper
 /// plots (126.gcc, 130.li, 147.vortex, 102.swim).
-pub fn fig11_per_program() -> Vec<Table> {
+pub fn fig11_per_program(svc: &DseService) -> Vec<Table> {
     let benches = [
         Benchmark::Gcc,
         Benchmark::Li,
@@ -448,9 +503,22 @@ pub fn fig11_per_program() -> Vec<Table> {
     ];
     let ms = [0u32, 1, 2, 3];
     let ns = [2u32, 3, 4];
-    benches
+    let cfgs: Vec<MachineConfig> = ns
         .iter()
-        .map(|&b| {
+        .flat_map(|&n| {
+            ms.iter().map(move |&m| {
+                let c = MachineConfig::n_plus_m(n, m);
+                if m > 0 {
+                    c.with_optimizations()
+                } else {
+                    c
+                }
+            })
+        })
+        .collect();
+    run_matrix(svc, &benches, &cfgs)
+        .into_iter()
+        .map(|(b, rs)| {
             let mut headers = vec!["config".to_string()];
             headers.extend(ms.iter().map(|m| format!("M={m}")));
             let mut t = Table::new(headers);
@@ -459,20 +527,6 @@ pub fn fig11_per_program() -> Vec<Table> {
                 b.name()
             ));
             t.numeric();
-            let cfgs: Vec<MachineConfig> = ns
-                .iter()
-                .flat_map(|&n| {
-                    ms.iter().map(move |&m| {
-                        let c = MachineConfig::n_plus_m(n, m);
-                        if m > 0 {
-                            c.with_optimizations()
-                        } else {
-                            c
-                        }
-                    })
-                })
-                .collect();
-            let rs = run_configs_for(b, &cfgs);
             let base = &rs[0]; // (2+0)
             for (ni, &n) in ns.iter().enumerate() {
                 let mut row = vec![format!("N={n}")];
@@ -488,7 +542,7 @@ pub fn fig11_per_program() -> Vec<Table> {
 
 /// §4.2.1: change in L2 traffic when a 2 KB LVC is added (paper: 130.li
 /// −24 %, 147.vortex −7 %, 126.gcc a slight increase).
-pub fn l2_traffic() -> Table {
+pub fn l2_traffic(svc: &DseService) -> Table {
     let cfgs = [MachineConfig::n_plus_m(2, 0), MachineConfig::n_plus_m(2, 2)];
     let mut t = Table::new([
         "benchmark",
@@ -499,8 +553,7 @@ pub fn l2_traffic() -> Table {
     ]);
     t.title("§4.2.1: L2 traffic with and without the 2 KB LVC");
     t.numeric();
-    for b in Benchmark::ALL {
-        let rs = run_configs_for(b, &cfgs);
+    for (b, rs) in run_matrix(svc, &Benchmark::ALL, &cfgs) {
         let (a, c) = (&rs[0].l2, &rs[1].l2);
         let delta = |x: u64, y: u64| {
             if x == 0 {
@@ -523,7 +576,7 @@ pub fn l2_traffic() -> Table {
 /// §4.3: LVC latency sensitivity and the (3+3) configuration (paper: a
 /// 2-cycle LVC is almost free; (3+3) ≈ +5 % over (4+0) for the integer
 /// programs).
-pub fn lvc_latency() -> Table {
+pub fn lvc_latency(svc: &DseService) -> Table {
     let cfgs = [
         MachineConfig::n_plus_m(4, 0),
         MachineConfig::n_plus_m(3, 3).with_optimizations(),
@@ -541,8 +594,7 @@ pub fn lvc_latency() -> Table {
     t.title("§4.3: (3+3) vs (4+0) and LVC hit-latency sensitivity (relative to (4+0))");
     t.numeric();
     let mut acc: Vec<Vec<f64>> = vec![Vec::new(); cfgs.len()];
-    for b in Benchmark::ALL {
-        let rs = run_configs_for(b, &cfgs);
+    for (b, rs) in run_matrix(svc, &Benchmark::ALL, &cfgs) {
         let mut row = vec![b.name().to_string()];
         for (i, r) in rs.iter().enumerate() {
             let v = rel(r, &rs[0]);
@@ -560,7 +612,7 @@ pub fn lvc_latency() -> Table {
 }
 
 /// Ablation: LVAQ capacity sweep (the paper fixes 64 entries).
-pub fn ablation_lvaq_size() -> Table {
+pub fn ablation_lvaq_size(svc: &DseService) -> Table {
     let sizes = [8usize, 16, 32, 64];
     let cfgs: Vec<MachineConfig> = sizes
         .iter()
@@ -575,8 +627,7 @@ pub fn ablation_lvaq_size() -> Table {
     let mut t = Table::new(headers);
     t.title("Ablation: LVAQ size under (3+2) optimized, relative to 64 entries");
     t.numeric();
-    for b in Benchmark::ALL {
-        let rs = run_configs_for(b, &cfgs);
+    for (b, rs) in run_matrix(svc, &Benchmark::ALL, &cfgs) {
         let base = rs.last().expect("64-entry run");
         let mut row = vec![b.name().to_string()];
         row.extend(rs.iter().map(|r| fmt_rel(rel(r, base))));
@@ -587,7 +638,7 @@ pub fn ablation_lvaq_size() -> Table {
 
 /// Ablation: steering policy (§2.1's speculation machinery) — compiler
 /// hints + 1-bit predictor vs `$sp`-base-only vs oracle.
-pub fn ablation_steering() -> Table {
+pub fn ablation_steering(svc: &DseService) -> Table {
     let mk = |p: SteerPolicy| {
         let mut c = MachineConfig::n_plus_m(3, 2).with_optimizations();
         c.decoupling.steer = p;
@@ -609,8 +660,7 @@ pub fn ablation_steering() -> Table {
     ]);
     t.title("Ablation: stream-classification policy under (3+2) optimized");
     t.numeric();
-    for b in Benchmark::ALL {
-        let rs = run_configs_for(b, &cfgs);
+    for (b, rs) in run_matrix(svc, &Benchmark::ALL, &cfgs) {
         t.row([
             b.name().to_string(),
             fmt_rel(rel(&rs[1], &rs[0])),
@@ -629,7 +679,7 @@ pub fn ablation_steering() -> Table {
 /// than four cycles. This experiment regenerates that claim: a 2 KB,
 /// direct-mapped, 1-cycle L1 against the paper's 32 KB L1 and against
 /// the (2+2) decoupled design, sweeping the L2 latency.
-pub fn small_l1() -> Table {
+pub fn small_l1(svc: &DseService) -> Table {
     let l2_lats = [2u32, 4, 8, 12];
     let mut cfgs: Vec<MachineConfig> = vec![
         MachineConfig::n_plus_m(2, 0),
@@ -652,8 +702,7 @@ pub fn small_l1() -> Table {
     t.title("§4.4: small fast L1 vs decoupling (relative to the 32 KB (2+0))");
     t.numeric();
     let mut acc: Vec<Vec<f64>> = vec![Vec::new(); cfgs.len()];
-    for b in Benchmark::ALL {
-        let rs = run_configs_for(b, &cfgs);
+    for (b, rs) in run_matrix(svc, &Benchmark::ALL, &cfgs) {
         let mut row = vec![b.name().to_string()];
         for (i, r) in rs.iter().enumerate() {
             let v = rel(r, &rs[0]);
@@ -725,7 +774,7 @@ pub fn lvc_line_size() -> Table {
 /// bandwidth becomes extremely critical for the next generations of
 /// wide-issue processors") — at narrow widths the port pressure, and so
 /// the decoupling benefit, should shrink.
-pub fn ablation_issue_width() -> Table {
+pub fn ablation_issue_width(svc: &DseService) -> Table {
     let widths = [4u32, 8, 16];
     let mut headers = vec!["benchmark".to_string()];
     for w in widths {
@@ -735,11 +784,11 @@ pub fn ablation_issue_width() -> Table {
     let mut t = Table::new(headers);
     t.title("Ablation: decoupling benefit vs issue width ((2+2) opt over (2+0))");
     t.numeric();
-    let mut gains: Vec<Vec<f64>> = vec![Vec::new(); widths.len()];
-    for b in Benchmark::ALL {
-        let mut row = vec![b.name().to_string()];
-        for (i, &w) in widths.iter().enumerate() {
-            let mk = |m: u32| {
+    // Per width: (2+0), then (2+2) optimized.
+    let cfgs: Vec<MachineConfig> = widths
+        .iter()
+        .flat_map(|&w| {
+            [0u32, 2].map(|m| {
                 let mut c = MachineConfig::n_plus_m(2, m);
                 if m > 0 {
                     c = c.with_optimizations();
@@ -748,11 +797,16 @@ pub fn ablation_issue_width() -> Table {
                 c.issue_width = w;
                 c.commit_width = w;
                 c
-            };
-            let rs = run_configs_for(b, &[mk(0), mk(2)]);
-            let gain = rel(&rs[1], &rs[0]);
+            })
+        })
+        .collect();
+    let mut gains: Vec<Vec<f64>> = vec![Vec::new(); widths.len()];
+    for (b, rs) in run_matrix(svc, &Benchmark::ALL, &cfgs) {
+        let mut row = vec![b.name().to_string()];
+        for (i, pair) in rs.chunks(2).enumerate() {
+            let gain = rel(&pair[1], &pair[0]);
             gains[i].push(gain);
-            row.push(format!("{:.2}", rs[0].ipc()));
+            row.push(format!("{:.2}", pair[0].ipc()));
             row.push(format!("{:+.1}%", 100.0 * (gain - 1.0)));
         }
         t.row(row);
@@ -769,7 +823,7 @@ pub fn ablation_issue_width() -> Table {
 /// Ablation: instruction-window (ROB) size under the base machine — the
 /// "large number of reservation stations" whose complexity motivates the
 /// whole decoupling approach (§2.1).
-pub fn ablation_window() -> Table {
+pub fn ablation_window(svc: &DseService) -> Table {
     let sizes = [32usize, 64, 128, 256];
     let cfgs: Vec<MachineConfig> = sizes
         .iter()
@@ -784,8 +838,7 @@ pub fn ablation_window() -> Table {
     let mut t = Table::new(headers);
     t.title("Ablation: ROB size under (3+2) optimized, relative to 128 entries");
     t.numeric();
-    for b in Benchmark::ALL {
-        let rs = run_configs_for(b, &cfgs);
+    for (b, rs) in run_matrix(svc, &Benchmark::ALL, &cfgs) {
         let base = &rs[2]; // 128
         let mut row = vec![b.name().to_string()];
         row.extend(rs.iter().map(|r| fmt_rel(rel(r, base))));
@@ -795,7 +848,7 @@ pub fn ablation_window() -> Table {
 }
 
 /// Ablation: MSHR count — how lockup-free the caches need to be.
-pub fn ablation_mshrs() -> Table {
+pub fn ablation_mshrs(svc: &DseService) -> Table {
     let counts = [1u32, 2, 4, 8];
     let cfgs: Vec<MachineConfig> = counts
         .iter()
@@ -813,8 +866,7 @@ pub fn ablation_mshrs() -> Table {
     let mut t = Table::new(headers);
     t.title("Ablation: L1 MSHR count under (2+2) optimized, relative to 8 MSHRs");
     t.numeric();
-    for b in Benchmark::ALL {
-        let rs = run_configs_for(b, &cfgs);
+    for (b, rs) in run_matrix(svc, &Benchmark::ALL, &cfgs) {
         let base = rs.last().expect("8-MSHR run");
         let mut row = vec![b.name().to_string()];
         row.extend(rs.iter().map(|r| fmt_rel(rel(r, base))));

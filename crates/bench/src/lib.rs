@@ -2,11 +2,10 @@
 //!
 //! One function per table/figure of the paper's evaluation (§4), each
 //! returning the printable [`dda_stats::Table`]s that regenerate it, plus the
-//! `experiments` binary that runs them from the command line and the
-//! `throughput` binary that records simulator MIPS. Every pipeline cell of
-//! a figure runs through [`run_matrix_checked`] on the [`pool`]; the
-//! memoized [`dse`] engine runs its cells through [`compute_cell`] on the
-//! same pool.
+//! `experiments` binary that runs them from the command line. Every
+//! pipeline cell of a figure, like every other sweep, runs through the
+//! memoized [`DseService`], which simulates its misses with
+//! [`compute_cell`] on the [`pool`].
 //!
 //! The harness runs every benchmark for a fixed instruction budget
 //! (configurable via `DDA_BUDGET`, default 300 000 committed instructions
@@ -39,6 +38,5 @@ pub use experiments::{
     table3_fast_forwarding,
 };
 pub use harness::{
-    drain_stream, pipeline_budget, profile, profile_budget, run_configs_for, run_matrix_checked,
-    set_default_budgets, workload_stats, ProfiledWorkload,
+    drain_stream, pipeline_budget, profile, profile_budget, workload_stats, ProfiledWorkload,
 };

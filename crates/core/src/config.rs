@@ -74,7 +74,7 @@ pub struct MachineConfig {
     /// architecturally identical — debug builds cross-check every decision
     /// and a regression test compares full [`crate::SimResult`]s — so this
     /// exists as the oracle for that comparison and as the baseline the
-    /// throughput benchmark measures kernel speedup against. Simulation
+    /// repository benchmark measures kernel speed against. Simulation
     /// *results* never depend on this flag, only wall-clock time.
     pub reference_kernel: bool,
     /// Fault-injection plan; [`FaultPlan::none`] (the default) injects
@@ -255,9 +255,8 @@ impl MachineConfig {
     ///
     /// Two flags are deliberately normalized out: `reference_kernel` and
     /// `audit` select between implementations proven bit-identical (the
-    /// determinism suite, the differential fuzzer and every throughput
-    /// run enforce it), so a result computed under either serves the
-    /// other. Everything else — widths, capacities, latencies, hierarchy
+    /// determinism suite and the differential fuzzer enforce it), so a
+    /// result computed under either serves the other. Everything else — widths, capacities, latencies, hierarchy
     /// geometry, decoupling knobs, the fault plan, even the test-only
     /// planted defect — changes counters and therefore the fingerprint.
     pub fn result_fingerprint_text(&self) -> String {

@@ -4,13 +4,16 @@
 #   scripts/verify.sh [--quick]
 #
 # Tier-1 (from ROADMAP.md) is `cargo build --release && cargo test -q`.
-# The throughput smoke run exercises the benchmark binary in `--quick`
-# mode, which also cross-checks the incremental scheduler kernel against
-# the rescan-per-cycle reference kernel on three workloads (the run
-# aborts if any counter diverges). The fault-campaign smoke run injects
-# every fault class once and fails on any host panic or unexpected
-# outcome. Both write their reports to throwaway paths so the committed
-# BENCH_*.json files (full budgets) are not clobbered by smoke numbers.
+# The kernel-identity step reruns the determinism suite in release mode:
+# every benchmark's incremental scheduler kernel against the
+# rescan-per-cycle reference kernel, and repeated runs (results and
+# translation-cache counters) against each other. The experiments smoke
+# runs `experiments fig5` twice at a tiny budget: the rerun must be
+# served entirely from the result store and print the same tables. The
+# fault-campaign smoke run injects every fault class once and fails on
+# any host panic or unexpected outcome. Smoke reports go to throwaway
+# paths so the committed BENCH_*.json files (full budgets) are not
+# clobbered by smoke numbers.
 #
 # The fuzz smoke runs a bounded differential campaign (200 generated
 # programs, fixed seed) through the fast-vs-reference oracle and fails
@@ -19,11 +22,8 @@
 # Both run in normal AND --quick modes — they are the cheapest
 # whole-machine bit-identity gates we have.
 #
-# `--quick` replaces the three-workload throughput smoke with a
-# two-workload perf smoke (compress + li) and skips the fault-campaign
-# smoke — the fastest loop that still fails the build if the fast kernel
-# ever loses bit-identity with the reference kernel (the binary asserts
-# identity internally; speedup numbers are reported, not gated).
+# `--quick` skips the fault-campaign smoke; everything else runs in both
+# modes.
 #
 # The sampling smoke runs the interval-sampling driver end-to-end (the
 # full-run CPI must land inside the sampled confidence interval), and
@@ -104,20 +104,30 @@ cargo run --release -q -p dda-bench --bin sampling -- \
 echo "== checkpoint round-trip (tests/checkpoint_roundtrip.rs)"
 cargo test --release -q --test checkpoint_roundtrip
 
-if [ "$QUICK" = 1 ]; then
-    # Perf smoke: two workloads, one rep. The binary itself asserts the
-    # fast kernel is bit-identical to the reference kernel (serially and
-    # through the sweep pool) and exits nonzero on any divergence;
-    # speedups are reported in the log, not gated here.
-    echo "== perf smoke (--quick: compress + li)"
-    cargo run --release -q -p dda-bench --bin throughput -- \
-        --quick --workloads compress,li --reps 1 \
-        --out target/BENCH_throughput_smoke.json
-else
-    echo "== throughput smoke (--quick)"
-    cargo run --release -q -p dda-bench --bin throughput -- \
-        --quick --out target/BENCH_throughput_smoke.json
+# Kernel identity in release mode (see the header).
+echo "== kernel identity (tests/determinism.rs)"
+cargo test --release -q --test determinism
 
+# Experiments smoke: the second run of a figure must simulate nothing
+# and print byte-identical tables.
+echo "== experiments smoke (fig5 twice, the rerun from the result store)"
+fig5() {
+    DDA_BUDGET=2000 DDA_PROFILE_BUDGET=20000 \
+        cargo run --release -q -p dda-bench --bin experiments -- fig5
+}
+first=$(fig5)
+second=$(fig5 2> target/experiments_smoke.err)
+cat target/experiments_smoke.err >&2
+if [ "$first" != "$second" ]; then
+    echo "experiments smoke: the rerun printed different tables" >&2
+    exit 1
+fi
+if ! grep -q ", 0 misses, 0 insts simulated" target/experiments_smoke.err; then
+    echo "experiments smoke: the rerun was not served from the store" >&2
+    exit 1
+fi
+
+if [ "$QUICK" = 0 ]; then
     echo "== fault-campaign smoke (--quick)"
     cargo run --release -q -p dda-bench --bin faults -- \
         --quick --out target/BENCH_faults_smoke.json

@@ -32,11 +32,24 @@ fn configs() -> Vec<MachineConfig> {
 
 #[test]
 fn repeated_runs_are_bit_identical() {
+    // The translation-cache counters of the front-end must repeat too.
+    let detailed = |bench: Benchmark, cfg: &MachineConfig| {
+        Simulator::new(cfg.clone())
+            .unwrap()
+            .run_shared_detailed(Arc::new(bench.program(u32::MAX / 2)), BUDGET)
+            .expect("benchmark executes cleanly")
+    };
     for bench in [Benchmark::Compress, Benchmark::Li, Benchmark::Swim] {
         for cfg in configs() {
-            let a = run(bench, &cfg);
-            let b = run(bench, &cfg);
+            let (a, tcache_a) = detailed(bench, &cfg);
+            let (b, tcache_b) = detailed(bench, &cfg);
             assert_eq!(a, b, "{bench}: two identical runs diverged");
+            assert_eq!(tcache_a, tcache_b, "{bench}: front-end counters diverged");
+            assert_eq!(
+                run(bench, &cfg),
+                a,
+                "{bench}: run diverged from run_shared_detailed"
+            );
         }
     }
 }
@@ -63,12 +76,7 @@ fn shared_program_runs_match_owned_program_runs() {
 
 #[test]
 fn incremental_kernel_matches_reference_kernel() {
-    for bench in [
-        Benchmark::Compress,
-        Benchmark::Li,
-        Benchmark::Vortex,
-        Benchmark::Tomcatv,
-    ] {
+    for bench in Benchmark::ALL {
         for mut cfg in configs() {
             cfg.reference_kernel = false;
             let fast = run(bench, &cfg);

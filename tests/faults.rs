@@ -5,6 +5,8 @@
 
 use dda::core::{ConfigError, FaultPlan, MachineConfig, SimError, Simulator};
 use dda::workloads::Benchmark;
+use dda_bench::dse::DEFAULT_SEED;
+use dda_bench::{CellStatus, DseCell, DseService, ResultStore, RunPlan};
 
 const BUDGET: u64 = 30_000;
 
@@ -248,18 +250,49 @@ fn injection_is_seed_deterministic() {
 
 #[test]
 fn checked_harness_reports_structured_failures_per_run() {
-    // A parallel sweep where one configuration is wedged: the checked
-    // entry points degrade that run to an Err value and the good runs
-    // still return results.
+    // A sweep where one configuration is wedged: the service degrades
+    // that cell to an error carrying the watchdog's exact report, and the
+    // healthy cell still simulates.
     let good = MachineConfig::n_plus_m(4, 2).with_optimizations();
-    let mut matrix =
-        dda_bench::run_matrix_checked(&[Benchmark::Compress], &[good, wedged_config()], BUDGET);
-    assert_eq!(matrix.len(), 1);
-    let results = matrix.remove(0);
-    assert_eq!(results.len(), 2);
-    assert!(results[0].is_ok(), "the healthy config still simulates");
-    assert!(
-        matches!(results[1], Err(SimError::Deadlock(_))),
-        "the wedged config degrades to a structured error"
+    let cells: Vec<DseCell> = [("good", good), ("wedged", wedged_config())]
+        .into_iter()
+        .map(|(label, cfg)| DseCell {
+            bench: Benchmark::Compress,
+            cfg,
+            label: label.into(),
+        })
+        .collect();
+    let dir = std::env::temp_dir().join(format!("dda-faults-dse-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let svc = DseService::new(ResultStore::open(&dir).unwrap(), None);
+    let mut reports = Vec::new();
+    let summary = svc.run_streaming(
+        &cells,
+        DEFAULT_SEED,
+        &RunPlan::Full { budget: BUDGET },
+        &mut |r| reports.push(r),
     );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!((summary.misses, summary.errors), (1, 1));
+    reports.sort_by_key(|r| r.index);
+    assert_eq!(
+        reports[0].status,
+        CellStatus::Miss,
+        "the healthy config still simulates"
+    );
+    assert!(reports[0].outcome.is_some());
+    let err = Simulator::new(wedged_config())
+        .unwrap()
+        .run(&Benchmark::Compress.program(DEFAULT_SEED), BUDGET)
+        .unwrap_err();
+    assert!(
+        matches!(err, SimError::Deadlock(_)),
+        "expected Deadlock, got {err:?}"
+    );
+    assert_eq!(
+        reports[1].status,
+        CellStatus::Error(err.to_string()),
+        "the wedged config degrades to the watchdog's structured error"
+    );
+    assert!(reports[1].outcome.is_none());
 }
