@@ -191,10 +191,10 @@ fn main() {
             bench.name(),
             a.cycles
         );
-        let _ = write!(
+        let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"cycles\": {}, \"committed\": {}, \
-             \"audit_identical\": true, \"reference_identical\": true}}{}\n",
+             \"audit_identical\": true, \"reference_identical\": true}}{}",
             bench.name(),
             a.cycles,
             a.committed,

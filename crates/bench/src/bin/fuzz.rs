@@ -125,10 +125,10 @@ fn report_json(
         r.generated, r.mutated, r.completed, r.trapped, r.deadlocked, r.invariant_violations,
         r.host_panics
     );
-    let _ = write!(
+    let _ = writeln!(
         json,
         "  \"coverage\": {{\"op_classes_seen\": {}, \"op_classes_total\": {}, \
-         \"edge_buckets_seen\": {}, \"edge_buckets_total\": {}, \"instructions_observed\": {}}},\n",
+         \"edge_buckets_seen\": {}, \"edge_buckets_total\": {}, \"instructions_observed\": {}}},",
         r.coverage.op_classes_seen(),
         OP_CLASS_COUNT,
         r.coverage.edge_buckets_seen(),

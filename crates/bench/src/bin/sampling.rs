@@ -159,9 +159,9 @@ fn main() {
         shape.confidence.percent(),
         shape.functional_warmup,
     );
-    let _ = write!(
+    let _ = writeln!(
         json,
-        "  \"adaptive\": {{\"target_rel_half_width\": {}, \"max_windows\": {}}},\n",
+        "  \"adaptive\": {{\"target_rel_half_width\": {}, \"max_windows\": {}}},",
         shape
             .adaptive_target
             .map_or("null".to_string(), |t| format!("{t}")),
@@ -191,14 +191,14 @@ fn main() {
             s.windows.len(),
             if within { "within CI" } else { "OUTSIDE CI" },
         );
-        let _ = write!(
+        let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"full_cpi\": {:.6}, \"full_committed\": {}, \
              \"full_secs\": {:.4}, \"sampled_cpi\": {:.6}, \"ci_half_width\": {:.6}, \
              \"within_ci\": {within}, \"abs_err_pct\": {err_pct:.3}, \"windows\": {}, \
              \"adaptive_rounds\": {rounds}, \
              \"detailed_insts\": {}, \"fast_forwarded\": {}, \"halted_early\": {}, \
-             \"sampled_secs\": {:.4}}}{}\n",
+             \"sampled_secs\": {:.4}}}{}",
             bench.name(),
             full.cpi,
             full.committed,
@@ -236,10 +236,10 @@ fn main() {
             full.secs,
             s.host_secs,
         );
-        let _ = write!(
+        let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"full_secs\": {:.4}, \"sampled_secs\": {:.4}, \
-             \"speedup\": {speedup:.2}, \"sampled_cpi\": {:.6}, \"detailed_insts\": {}}}{}\n",
+             \"speedup\": {speedup:.2}, \"sampled_cpi\": {:.6}, \"detailed_insts\": {}}}{}",
             bench.name(),
             full.secs,
             s.host_secs,

@@ -13,8 +13,10 @@
 //! campaign down:
 //!
 //! 1. every kernel run goes through [`contained_run`], which converts a
-//!    panic into [`SimError::WorkerPanic`] — the same flattening the
-//!    sweep pool's harness applies;
+//!    panic into [`SimError::WorkerPanic`] carrying the panic's message
+//!    (the DSE service renders a panicking cell's message with the same
+//!    `panic_message` and reports it as
+//!    [`CellStatus::Error`](crate::dse::CellStatus::Error) text);
 //! 2. inputs execute as tasks on [`crate::pool`], whose workers already
 //!    isolate panics per task;
 //! 3. every run is budgeted: a committed-instruction budget bounds
@@ -57,9 +59,11 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs one configuration over `program` with a panic backstop: a panic
 /// that escapes the typed error model comes back as
-/// [`SimError::WorkerPanic`] instead of unwinding the caller — the exact
-/// flattening the sweep pool applies to its tasks, so campaign binaries
-/// and pool-based sweeps report crashes identically.
+/// [`SimError::WorkerPanic`] instead of unwinding the caller. Its text is
+/// rendered by `panic_message`, which the DSE service also uses for the
+/// [`CellStatus::Error`](crate::dse::CellStatus::Error) text of a
+/// panicking cell, so campaign binaries and DSE sweeps report a crash
+/// with the same message.
 pub fn contained_run(
     cfg: &MachineConfig,
     program: &Arc<Program>,

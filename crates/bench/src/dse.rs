@@ -186,6 +186,7 @@ impl SampledCell {
 /// One cell's measurement: a full run's [`SimResult`] or a sampled
 /// cell's estimates.
 #[derive(Clone, PartialEq, Debug)]
+#[allow(clippy::large_enum_variant)] // `Full` stays unboxed: callers match `CellOutcome::Full(r)` by value
 pub enum CellOutcome {
     /// Full detailed run.
     Full(SimResult),

@@ -1,24 +1,35 @@
-//! An in-tree work-stealing thread pool for configuration sweeps.
+//! An in-tree thread pool for configuration sweeps and fuzz campaigns.
 //!
-//! The container is offline, so this is a dependency-free pool sized for
-//! the harness's needs: a batch of independent `FnOnce` tasks (one per
-//! benchmark × configuration point), executed once, results returned in
-//! submission order. Each worker owns a deque of task indices seeded
-//! round-robin; it pops its own deque LIFO (cache-warm) and steals FIFO
-//! from its neighbours (oldest first, the classic Chase–Lev discipline —
-//! here guarded by a mutex per deque, which is plenty below a few
-//! thousand tasks since each task is milliseconds to seconds of
-//! simulation).
+//! A dependency-free pool sized for the harness's needs: a batch of independent `FnOnce` tasks (one per
+//! benchmark × configuration point, or one per fuzz input), executed
+//! once, results returned in submission order. Workers claim tasks in
+//! submission order from one shared counter.
+//!
+//! The calling thread is the first worker, and it works the batch alone
+//! for its first `SPAWN_AFTER` (10 ms); only a batch still running after that
+//! spawns the other workers. A helper thread costs a spawn and a join
+//! (tens of microseconds on an idle host, hundreds on a busy one), and
+//! while another process holds a CPU a helper sharing it stalls the whole
+//! batch at the join: a ten-input fuzz campaign of about 2 ms lost ~30 %
+//! of its rate to one competing busy process on a 2-CPU host when it was
+//! split over two threads, and nothing when it ran on the caller alone.
+//! Sweeps of cells taking milliseconds to seconds each still spread over
+//! every worker after the first `SPAWN_AFTER`.
 //!
 //! Panic isolation: a panicking task never takes the pool down. The
 //! worker catches the unwind at the task boundary, records it as that
 //! task's `Err` result, and moves on to the next task — the behaviour
 //! figure sweeps need when one configuration point is poisoned.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
+/// How long the calling thread works a batch alone before it spawns the
+/// other workers: a few scheduler time slices, so a batch that a second
+/// thread could shorten by only a few milliseconds never pays for one.
+const SPAWN_AFTER: Duration = Duration::from_millis(10);
 
 /// What one task left behind: its value, or the payload of its panic.
 pub type TaskResult<T> = std::thread::Result<T>;
@@ -55,11 +66,13 @@ pub fn host_parallelism() -> usize {
     default_workers(usize::MAX)
 }
 
-/// Runs every task on `workers` work-stealing worker threads and returns
-/// their results in submission order.
+/// Runs every task on up to `workers` threads, the calling thread
+/// included, and returns their results in submission order.
 ///
-/// Tasks are independent `FnOnce` closures. A panicking task yields
-/// `Err(payload)` at its own index; every other task still runs.
+/// Tasks are independent `FnOnce` closures; they must not wait on one
+/// another, since a batch shorter than `SPAWN_AFTER` runs on the calling
+/// thread alone. A panicking task yields `Err(payload)` at its own index;
+/// every other task still runs.
 pub fn run_tasks<T, F>(tasks: Vec<F>, workers: usize) -> Vec<TaskResult<T>>
 where
     T: Send,
@@ -69,72 +82,49 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let workers = workers.clamp(1, n.max(1));
+    let workers = workers.clamp(1, n);
 
     // Task cells: taken exactly once, by whichever worker claims the
-    // index from a deque.
+    // index.
     let cells: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
     // Result cells, indexed like the tasks — submission order falls out
     // for free.
     let results: Vec<Mutex<Option<TaskResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    // Per-worker deques of task indices, seeded round-robin so a cheap
-    // static partition exists even before any stealing happens.
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w..n).step_by(workers).collect()))
-        .collect();
-    // Tasks claimed so far; when it reaches `n`, idle workers exit.
-    let claimed = AtomicUsize::new(0);
+    // The next unclaimed task index.
+    let next = AtomicUsize::new(0);
 
-    let run_one = |idx: usize| {
+    // Claims and runs the next task; `false` once every task is claimed.
+    let run_next = || {
+        let idx = next.fetch_add(1, Ordering::Relaxed);
+        if idx >= n {
+            return false;
+        }
         let task = match cells[idx].lock() {
             Ok(mut c) => c.take(),
             Err(_) => None, // poisoned by a panic mid-take: impossible, cell ops don't panic
         };
-        let Some(task) = task else { return };
-        let out = catch_unwind(AssertUnwindSafe(task));
-        if let Ok(mut r) = results[idx].lock() {
-            *r = Some(out);
+        if let Some(task) = task {
+            let out = catch_unwind(AssertUnwindSafe(task));
+            if let Ok(mut r) = results[idx].lock() {
+                *r = Some(out);
+            }
         }
+        true
     };
 
     std::thread::scope(|s| {
-        for w in 0..workers {
-            let deques = &deques;
-            let claimed = &claimed;
-            let run_one = &run_one;
-            s.spawn(move || loop {
-                // Own deque first, newest first (LIFO).
-                let own = deques[w].lock().ok().and_then(|mut d| d.pop_back());
-                if let Some(idx) = own {
-                    claimed.fetch_add(1, Ordering::Relaxed);
-                    run_one(idx);
-                    continue;
+        let start = Instant::now();
+        let mut helpers = workers - 1;
+        loop {
+            if helpers > 0 && start.elapsed() >= SPAWN_AFTER {
+                for _ in 0..helpers {
+                    s.spawn(|| while run_next() {});
                 }
-                // Steal from neighbours, oldest first (FIFO), scanning
-                // from the next worker over.
-                let mut stolen = None;
-                for off in 1..workers {
-                    let v = (w + off) % workers;
-                    if let Some(idx) = deques[v].lock().ok().and_then(|mut d| d.pop_front()) {
-                        stolen = Some(idx);
-                        break;
-                    }
-                }
-                match stolen {
-                    Some(idx) => {
-                        claimed.fetch_add(1, Ordering::Relaxed);
-                        run_one(idx);
-                    }
-                    None => {
-                        if claimed.load(Ordering::Relaxed) >= n {
-                            break;
-                        }
-                        // Every deque looked empty but claims are still
-                        // outstanding: a steal raced us. Yield and rescan.
-                        std::thread::yield_now();
-                    }
-                }
-            });
+                helpers = 0;
+            }
+            if !run_next() {
+                break;
+            }
         }
     });
 
@@ -227,6 +217,35 @@ mod tests {
         for (i, r) in out.iter().enumerate() {
             assert_eq!(*r.as_ref().unwrap(), i as u64 + 1);
         }
+    }
+
+    #[test]
+    fn a_short_batch_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let tasks: Vec<_> = (0..10).map(|_| || std::thread::current().id()).collect();
+        for r in run_tasks(tasks, 4) {
+            assert_eq!(r.unwrap(), caller);
+        }
+    }
+
+    #[test]
+    fn a_long_batch_spreads_over_helpers() {
+        let caller = std::thread::current().id();
+        let tasks: Vec<_> = (0..40)
+            .map(|_| {
+                || {
+                    std::thread::sleep(SPAWN_AFTER / 4);
+                    std::thread::current().id()
+                }
+            })
+            .collect();
+        let ids: Vec<_> = run_tasks(tasks, 2)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
+        // The caller starts alone, and a helper takes some of the rest.
+        assert_eq!(ids[0], caller);
+        assert!(ids.iter().any(|&id| id != caller));
     }
 
     #[test]

@@ -2,13 +2,42 @@
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
-const N_PAGES: usize = 1 << (32 - PAGE_SHIFT);
+/// log2 of the pages one leaf covers: 1 024 pages, 4 MB of address space.
+const LEAF_BITS: u32 = 10;
+const LEAF_PAGES: usize = 1 << LEAF_BITS;
+const N_LEAVES: usize = 1 << (32 - PAGE_SHIFT - LEAF_BITS);
+const N_PAGES: usize = N_LEAVES * LEAF_PAGES;
 
 // Page-table lookups sit on the hot path of every simulated memory
-// access, so the table is a flat one-level array indexed by page number
-// (2²⁰ slots × 8 bytes = 8 MB of pointers per VM) — no hashing, no
-// probing, one predictable load per access.
-type PageMap = Vec<Option<Box<[u8; PAGE_SIZE]>>>;
+// access, and every detailed cell, sampled window and fuzz input builds,
+// clones or drops a VM, so the table is a fixed two-level radix tree
+// indexed by page number: a directory of 1 024 leaf slots (8 KB of
+// pointers), one per 4 MB of address space, and leaves of 1 024 page
+// slots (8 KB each) allocated on the first write into their 4 MB. A
+// lookup is two dependent loads with no hashing and no bounds checks
+// (both indices fit their fixed-size arrays by construction). Building,
+// cloning and dropping a memory costs the directory plus the leaves and
+// pages actually touched; a workload touches a handful of leaves.
+type Page = Box<[u8; PAGE_SIZE]>;
+type Leaf = [Option<Page>; LEAF_PAGES];
+type Directory = [Option<Box<Leaf>>; N_LEAVES];
+
+const NO_PAGE: Option<Page> = None;
+const NO_LEAF: Option<Box<Leaf>> = None;
+
+/// Splits a page number into its (directory, leaf) slot indices.
+#[inline]
+fn split(page: usize) -> (usize, usize) {
+    (page >> LEAF_BITS, page & (LEAF_PAGES - 1))
+}
+
+/// The slot of page number `page` (< `N_PAGES`), allocating its leaf on
+/// the first touch of the leaf's 4 MB.
+#[inline]
+fn slot_mut(dir: &mut Directory, page: usize) -> &mut Option<Page> {
+    let (d, l) = split(page);
+    &mut dir[d].get_or_insert_with(|| Box::new([NO_PAGE; LEAF_PAGES]))[l]
+}
 
 /// A sparse 32-bit byte-addressable memory.
 ///
@@ -19,14 +48,14 @@ type PageMap = Vec<Option<Box<[u8; PAGE_SIZE]>>>;
 /// misalignment errors carry the faulting pc.
 #[derive(Clone, Debug)]
 pub struct SparseMemory {
-    pages: PageMap,
+    dir: Box<Directory>,
     resident: usize,
 }
 
 impl Default for SparseMemory {
     fn default() -> SparseMemory {
         SparseMemory {
-            pages: vec![None; N_PAGES],
+            dir: Box::new([NO_LEAF; N_LEAVES]),
             resident: 0,
         }
     }
@@ -45,29 +74,30 @@ impl SparseMemory {
 
     #[inline]
     fn page(&self, addr: u32) -> Option<&[u8; PAGE_SIZE]> {
-        self.pages[(addr >> PAGE_SHIFT) as usize].as_deref()
+        let (d, l) = split((addr >> PAGE_SHIFT) as usize);
+        self.dir[d].as_ref()?[l].as_deref()
     }
 
     #[inline]
     fn page_mut(&mut self, addr: u32) -> &mut [u8; PAGE_SIZE] {
-        let slot = &mut self.pages[(addr >> PAGE_SHIFT) as usize];
-        if slot.is_none() {
-            *slot = Some(Box::new([0; PAGE_SIZE]));
-            self.resident += 1;
-        }
-        match slot {
-            Some(p) => p,
-            None => unreachable!("slot filled above"),
-        }
+        let resident = &mut self.resident;
+        slot_mut(&mut self.dir, (addr >> PAGE_SHIFT) as usize).get_or_insert_with(|| {
+            *resident += 1;
+            Box::new([0; PAGE_SIZE])
+        })
     }
 
     /// Iterates the resident pages as `(page_index, bytes)` pairs in
     /// ascending page order — the serialization view used by checkpoints.
     pub fn resident_page_bytes(&self) -> impl Iterator<Item = (u32, &[u8])> + '_ {
-        self.pages
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.as_deref().map(|p| (i as u32, &p[..])))
+        self.dir.iter().enumerate().flat_map(|(d, leaf)| {
+            leaf.iter().flat_map(move |leaf| {
+                leaf.iter().enumerate().filter_map(move |(l, p)| {
+                    p.as_deref()
+                        .map(|p| (((d << LEAF_BITS) | l) as u32, &p[..]))
+                })
+            })
+        })
     }
 
     /// Materialises the page `index` with the given contents, replacing
@@ -78,12 +108,10 @@ impl SparseMemory {
         if index as usize >= N_PAGES || bytes.len() != PAGE_SIZE {
             return false;
         }
-        let slot = &mut self.pages[index as usize];
-        if slot.is_none() {
-            self.resident += 1;
-        }
         let mut page = Box::new([0u8; PAGE_SIZE]);
         page.copy_from_slice(bytes);
+        let slot = slot_mut(&mut self.dir, index as usize);
+        self.resident += usize::from(slot.is_none());
         *slot = Some(page);
         true
     }
@@ -259,8 +287,70 @@ mod tests {
         assert_eq!(n.resident_pages(), 2);
         // Corrupt installs are rejected without touching state.
         assert!(!n.install_page(0, &[0u8; 3]));
+        assert!(!n.install_page(1 << 20, &[0u8; PAGE_SIZE]));
         assert!(!n.install_page(u32::MAX, &[0u8; PAGE_SIZE]));
         assert_eq!(n.resident_pages(), 2);
+        assert_eq!(n.resident_page_bytes().count(), 2);
+    }
+
+    #[test]
+    fn access_straddling_a_leaf_boundary() {
+        // The last page of leaf 0 and the first page of leaf 1.
+        let mut m = SparseMemory::new();
+        m.write_u32(0x003f_fffe, 0x1122_3344);
+        assert_eq!(m.read_u32(0x003f_fffe), 0x1122_3344);
+        assert_eq!(m.resident_pages(), 2);
+        let mut m = SparseMemory::new();
+        m.write_u64(0x003f_fffc, 0x0102_0304_0506_0708);
+        assert_eq!(m.read_u64(0x003f_fffc), 0x0102_0304_0506_0708);
+        assert_eq!(m.read_u32(0x0040_0000), 0x0102_0304);
+        assert_eq!(m.resident_pages(), 2);
+        let pages: Vec<u32> = m.resident_page_bytes().map(|(i, _)| i).collect();
+        assert_eq!(pages, [1023, 1024]);
+    }
+
+    #[test]
+    fn access_wraps_at_the_top_of_the_address_space() {
+        let mut m = SparseMemory::new();
+        m.write_u64(0xffff_fffc, 0x0102_0304_0506_0708);
+        assert_eq!(m.read_u64(0xffff_fffc), 0x0102_0304_0506_0708);
+        assert_eq!(m.read_u32(0xffff_fffc), 0x0506_0708);
+        assert_eq!(m.read_u32(0), 0x0102_0304);
+        let pages: Vec<u32> = m.resident_page_bytes().map(|(i, _)| i).collect();
+        assert_eq!(pages, [0, (N_PAGES - 1) as u32]);
+    }
+
+    #[test]
+    fn pages_installed_across_leaves_export_in_ascending_order() {
+        let mut m = SparseMemory::new();
+        let top = (N_PAGES - 1) as u32;
+        for i in [5_000, 3, 1_023, 1_024, top] {
+            assert!(m.install_page(i, &[i as u8; PAGE_SIZE]));
+        }
+        assert_eq!(m.resident_pages(), 5);
+        let pages: Vec<(u32, u8)> = m.resident_page_bytes().map(|(i, b)| (i, b[0])).collect();
+        assert_eq!(
+            pages,
+            [3, 1_023, 1_024, 5_000, top].map(|i| (i, i as u8)).to_vec()
+        );
+        // Reinstalling a resident page replaces it without a new page.
+        assert!(m.install_page(1_024, &[9; PAGE_SIZE]));
+        assert_eq!(m.resident_pages(), 5);
+        assert_eq!(m.read_u8(1_024 << PAGE_SHIFT), 9);
+    }
+
+    #[test]
+    fn clones_are_deep() {
+        let mut a = SparseMemory::new();
+        a.write_u32(0x1000, 7);
+        let mut b = a.clone();
+        b.write_u32(0x1000, 8);
+        b.write_u32(0x8000_0000, 9);
+        assert_eq!(a.read_u32(0x1000), 7);
+        assert_eq!(a.read_u32(0x8000_0000), 0);
+        assert_eq!(a.resident_pages(), 1);
+        assert_eq!(b.read_u32(0x1000), 8);
+        assert_eq!(b.resident_pages(), 2);
     }
 
     #[test]

@@ -33,7 +33,9 @@
 # The fmt gate keeps the tree `cargo fmt`-clean; the clippy gate bans
 # `.unwrap()`/`.expect()` from the hot simulation crates' library code
 # (tests are exempt via cfg(test)): every runtime failure
-# there must surface as a typed error value.
+# there must surface as a typed error value. A second clippy gate keeps
+# the bench crate, its binaries and the root package's tests and
+# examples free of warnings.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -70,6 +72,9 @@ cargo fmt --check
 echo "== clippy: no unwrap/expect in simulation crates"
 cargo clippy -q -p dda-core -p dda-vm -p dda-mem -p dda-program -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
+
+echo "== clippy: no warnings in the bench crate, binaries and tests"
+cargo clippy -q --all-targets -p dda-bench -p dda -- -D warnings
 
 # Block-cache smoke: one loop-heavy and one call-heavy program replayed
 # through the translation cache and cross-checked instruction-for-

@@ -477,7 +477,6 @@ fn fault_plan_rng_draw_order_is_unchanged_by_block_replay() {
         delay_port_grant: 0.02,
         delay_cycles: 4,
         corrupt_forward: 0.05,
-        ..FaultPlan::none()
     };
     for bench in [Benchmark::Compress, Benchmark::Li] {
         let program = bench.program(u32::MAX / 2);

@@ -159,3 +159,27 @@ fn sampling_through_a_store_is_transparent_under_faults() {
     assert_eq!(hot.fast_forwarded, 0, "hot store run still replayed");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Length and FNV-1a 64 hash of the pinned checkpoint below, as encoded
+/// when the format was pinned. Checkpoint stores are content-addressed
+/// and persist across builds, so a change to either value means stores
+/// written by an older build no longer restore: that takes a format
+/// version bump, not an edit of these constants.
+const PINNED_CHECKPOINT_LEN: usize = 29_571;
+const PINNED_CHECKPOINT_FNV: u64 = 0x7169_c499_1d30_537d;
+
+/// The checkpoint encoding is pinned byte for byte: compress after 50 000
+/// fast-forwarded instructions encodes to the same bytes, and decoding
+/// and re-encoding them through a restored machine gives them back.
+#[test]
+fn checkpoint_encoding_is_pinned() {
+    let program = Arc::new(Benchmark::Compress.program(u32::MAX / 2));
+    let phash = program_fingerprint(&program);
+    let mut vm = Vm::new(Arc::clone(&program));
+    vm.fast_forward(50_000).unwrap();
+    let bytes = vm.checkpoint(phash, 7).to_bytes();
+    assert_eq!(bytes.len(), PINNED_CHECKPOINT_LEN);
+    assert_eq!(dda_stats::fnv1a64(&bytes), PINNED_CHECKPOINT_FNV);
+    let restored = Vm::restore(program, &Checkpoint::from_bytes(&bytes).unwrap()).unwrap();
+    assert_eq!(restored.checkpoint(phash, 7).to_bytes(), bytes);
+}

@@ -226,9 +226,46 @@ fn sparse_memory_matches_reference() {
                 assert_eq!(mem.read_u8(addr), expect);
             }
         }
-        for (addr, value) in reference {
+        for (&addr, &value) in &reference {
             assert_eq!(mem.read_u8(addr), value);
         }
+
+        // The page set: one resident page per distinct page written,
+        // exported in strictly ascending order.
+        let mut pages: Vec<u32> = reference.keys().map(|a| a >> 12).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        assert_eq!(mem.resident_pages(), pages.len());
+        let exported: Vec<(u32, Vec<u8>)> = mem
+            .resident_page_bytes()
+            .map(|(i, b)| (i, b.to_vec()))
+            .collect();
+        assert!(exported.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(exported.iter().map(|(i, _)| *i).collect::<Vec<_>>(), pages);
+
+        // Installing the export into a fresh memory rebuilds it.
+        let mut rebuilt = SparseMemory::new();
+        for (i, b) in &exported {
+            assert!(rebuilt.install_page(*i, b));
+        }
+        assert_eq!(rebuilt.resident_pages(), pages.len());
+        for (&addr, &value) in &reference {
+            assert_eq!(rebuilt.read_u8(addr), value);
+        }
+
+        // A clone is deep: mutating it leaves the source as it was.
+        let mut copy = mem.clone();
+        for &addr in reference.keys() {
+            copy.write_u8(addr, !copy.read_u8(addr));
+        }
+        for (&addr, &value) in &reference {
+            assert_eq!(copy.read_u8(addr), !value);
+        }
+        copy.write_u32(rng.next_u32(), 0xdead_beef);
+        for (&addr, &value) in &reference {
+            assert_eq!(mem.read_u8(addr), value);
+        }
+        assert_eq!(mem.resident_pages(), pages.len());
     }
 }
 
