@@ -20,6 +20,8 @@ use dda_program::Program;
 use dda_stats::fnv1a64;
 use dda_vm::{Checkpoint, CheckpointKey};
 
+use crate::store::{invalid_data, RecordDir};
+
 /// Stable content fingerprint of a program (its assembly rendering).
 pub fn program_fingerprint(p: &Program) -> u64 {
     fnv1a64(p.to_asm().as_bytes())
@@ -35,7 +37,7 @@ pub fn config_fingerprint(cfg: &MachineConfig) -> u64 {
 /// A directory of serialized checkpoints, one file per key.
 #[derive(Clone, Debug)]
 pub struct CheckpointStore {
-    dir: PathBuf,
+    files: RecordDir,
 }
 
 impl CheckpointStore {
@@ -45,20 +47,20 @@ impl CheckpointStore {
     ///
     /// An [`io::Error`] when the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<CheckpointStore> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(CheckpointStore { dir })
+        Ok(CheckpointStore {
+            files: RecordDir::open(dir.into(), "ckpt_")?,
+        })
     }
 
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.files.dir()
     }
 
     /// The file a key maps to (exists or not).
     pub fn path_for(&self, key: &CheckpointKey) -> PathBuf {
-        self.dir.join(format!(
-            "ckpt_{:016x}_{:012}_{:016x}.bin",
+        self.files.path(format_args!(
+            "{:016x}_{:012}_{:016x}",
             key.program_hash, key.inst_index, key.config_hash
         ))
     }
@@ -81,23 +83,16 @@ impl CheckpointStore {
     ///
     /// An [`io::Error`] on a read failure, or one of kind
     /// [`io::ErrorKind::InvalidData`] when the file exists but fails to
-    /// decode (truncated or corrupt).
+    /// decode (truncated or corrupt) or carries a different key.
     pub fn load(&self, key: &CheckpointKey) -> io::Result<Option<Checkpoint>> {
         let path = self.path_for(key);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let ck = Checkpoint::from_bytes(&bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        if ck.key != *key {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("checkpoint at {} carries a different key", path.display()),
-            ));
+        match RecordDir::read(&path, Checkpoint::from_bytes)? {
+            Some(ck) if ck.key != *key => Err(invalid_data(format!(
+                "checkpoint at {} carries a different key",
+                path.display()
+            ))),
+            ck => Ok(ck),
         }
-        Ok(Some(ck))
     }
 
     /// Number of checkpoint files currently in the store.
@@ -106,15 +101,7 @@ impl CheckpointStore {
     ///
     /// An [`io::Error`] when the directory cannot be read.
     pub fn len(&self) -> io::Result<usize> {
-        let mut n = 0;
-        for entry in std::fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("ckpt_") && name.ends_with(".bin") {
-                n += 1;
-            }
-        }
-        Ok(n)
+        self.files.count()
     }
 
     /// Whether the store holds no checkpoints.

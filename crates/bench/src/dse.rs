@@ -64,15 +64,16 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use dda_core::{MachineConfig, ResultCodecError, SimError, SimResult, Simulator};
+use dda_core::{MachineConfig, SimError, SimResult, Simulator};
 use dda_program::Program;
-use dda_stats::{fnv1a64, ByteReader, ByteWriter};
+use dda_stats::{fnv1a64, ByteReader, ByteWriter, DecodeError};
 use dda_workloads::Benchmark;
 
 use crate::campaign::panic_message;
 use crate::checkpoint::{program_fingerprint, CheckpointStore};
 use crate::pool;
 use crate::sampling::{sample_program_adaptive, Estimate, SamplingConfig, WindowSample};
+use crate::store::RecordDir;
 
 /// Version of the simulation kernel as far as *cached results* are
 /// concerned. Part of every [`result_key`]: bump it whenever a simulator
@@ -194,8 +195,8 @@ pub enum CellOutcome {
     Sampled(SampledCell),
 }
 
-/// Magic word opening a serialized [`CellOutcome`] (`b"DDADSE01"`).
-const DSE_MAGIC: u64 = u64::from_le_bytes(*b"DDADSE01");
+/// Magic opening a serialized [`CellOutcome`].
+const DSE_MAGIC: &[u8; 8] = b"DDADSE01";
 /// Format version of the serialized [`CellOutcome`] layout.
 const DSE_VERSION: u32 = 1;
 
@@ -204,7 +205,7 @@ fn put_estimate(w: &mut ByteWriter, e: &Estimate) {
     w.put_f64(e.half_width);
 }
 
-fn get_estimate(r: &mut ByteReader) -> Result<Estimate, ResultCodecError> {
+fn get_estimate(r: &mut ByteReader) -> Result<Estimate, DecodeError> {
     Ok(Estimate {
         mean: r.get_f64()?,
         half_width: r.get_f64()?,
@@ -215,8 +216,7 @@ impl CellOutcome {
     /// Serializes this outcome with the format's magic and version words.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(700);
-        w.put_u64(DSE_MAGIC);
-        w.put_u32(DSE_VERSION);
+        w.put_header(DSE_MAGIC, DSE_VERSION);
         match self {
             CellOutcome::Full(r) => {
                 w.put_u8(0);
@@ -249,26 +249,15 @@ impl CellOutcome {
     ///
     /// # Errors
     ///
-    /// A [`ResultCodecError`] describing the first malformation.
-    pub fn from_bytes(bytes: &[u8]) -> Result<CellOutcome, ResultCodecError> {
+    /// A [`DecodeError`] describing the first malformation.
+    pub fn from_bytes(bytes: &[u8]) -> Result<CellOutcome, DecodeError> {
         let mut r = ByteReader::new(bytes);
-        let magic = r.get_u64()?;
-        if magic != DSE_MAGIC {
-            return Err(ResultCodecError::BadMagic(magic));
-        }
-        let version = r.get_u32()?;
-        if version != DSE_VERSION {
-            return Err(ResultCodecError::BadVersion(version));
-        }
+        r.header(DSE_MAGIC, DSE_VERSION)?;
         let out = match r.get_u8()? {
             0 => CellOutcome::Full(SimResult::decode(&mut r)?),
             1 => {
                 let rounds = r.get_u32()?;
-                let halted_early = match r.get_u8()? {
-                    0 => false,
-                    1 => true,
-                    t => return Err(ResultCodecError::BadTag(t)),
-                };
+                let halted_early = r.get_bool()?;
                 let detailed_insts = r.get_u64()?;
                 let cpi = get_estimate(&mut r)?;
                 let lvc_hit_rate = get_estimate(&mut r)?;
@@ -295,11 +284,9 @@ impl CellOutcome {
                     rounds,
                 })
             }
-            t => return Err(ResultCodecError::BadTag(t)),
+            _ => return Err(DecodeError::Corrupt("cell outcome kind")),
         };
-        if r.remaining() != 0 {
-            return Err(ResultCodecError::TrailingBytes(r.remaining()));
-        }
+        r.finish()?;
         Ok(out)
     }
 
@@ -330,13 +317,13 @@ impl CellOutcome {
 // ------------------------------------------------------- result store --
 
 /// A directory of serialized [`CellOutcome`]s, one file per
-/// [`result_key`] — the same shape as [`CheckpointStore`], with the same
-/// commitments: stable file names, magic + version words in the bytes,
-/// corrupt files surfacing as [`io::ErrorKind::InvalidData`] (which the
-/// engine treats as a miss, never as an answer).
+/// [`result_key`] — the same file body as [`CheckpointStore`], with the
+/// same commitments: stable file names, magic + version words in the
+/// bytes, corrupt files surfacing as [`io::ErrorKind::InvalidData`]
+/// (which the engine treats as a miss, never as an answer).
 #[derive(Clone, Debug)]
 pub struct ResultStore {
-    dir: PathBuf,
+    files: RecordDir,
 }
 
 impl ResultStore {
@@ -346,14 +333,14 @@ impl ResultStore {
     ///
     /// An [`io::Error`] when the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<ResultStore> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(ResultStore { dir })
+        Ok(ResultStore {
+            files: RecordDir::open(dir.into(), "res_")?,
+        })
     }
 
     /// The file a key maps to (exists or not).
     pub fn path_for(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("res_{key:016x}.bin"))
+        self.files.path(format_args!("{key:016x}"))
     }
 
     /// Persists `outcome` under `key`. Overwrites silently — content
@@ -376,15 +363,7 @@ impl ResultStore {
     /// [`io::ErrorKind::InvalidData`] when the file exists but fails to
     /// decode.
     pub fn load(&self, key: u64) -> io::Result<Option<CellOutcome>> {
-        let path = self.path_for(key);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let out = CellOutcome::from_bytes(&bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok(Some(out))
+        RecordDir::read(&self.path_for(key), CellOutcome::from_bytes)
     }
 
     /// Number of result records currently in the store.
@@ -393,15 +372,7 @@ impl ResultStore {
     ///
     /// An [`io::Error`] when the directory cannot be read.
     pub fn len(&self) -> io::Result<usize> {
-        let mut n = 0;
-        for entry in std::fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("res_") && name.ends_with(".bin") {
-                n += 1;
-            }
-        }
-        Ok(n)
+        self.files.count()
     }
 
     /// Whether the store holds no records.
@@ -818,16 +789,18 @@ mod tests {
         let good = sampled.to_bytes();
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
-        assert!(matches!(
+        assert_eq!(
             CellOutcome::from_bytes(&bad),
-            Err(ResultCodecError::BadMagic(_))
-        ));
+            Err(DecodeError::BadMagic {
+                expected: *DSE_MAGIC
+            })
+        );
         let mut bad = good.clone();
         bad.push(9);
-        assert!(matches!(
+        assert_eq!(
             CellOutcome::from_bytes(&bad),
-            Err(ResultCodecError::TrailingBytes(1))
-        ));
+            Err(DecodeError::TrailingBytes(1))
+        );
         assert!(CellOutcome::from_bytes(&good[..good.len() / 2]).is_err());
     }
 

@@ -10,42 +10,24 @@ use dda_workloads::Benchmark;
 /// tables, the fuzzer's coverage pass and [`profile`] all route through
 /// here instead of hand-rolling a `vm.step()` drain each).
 ///
-/// Replays pre-decoded basic blocks via [`Vm::step_block`], so profiling
-/// sweeps run at translation-cache speed; the observed prefix is
-/// bit-identical to stepping one instruction at a time. Returns the
-/// number of instructions observed (less than `budget` when the program
-/// halts first).
+/// This is [`Vm::fast_forward_observed`]: it replays pre-decoded basic
+/// blocks, so profiling sweeps run at translation-cache speed, and the
+/// observed prefix is bit-identical to stepping one instruction at a
+/// time. The machine stops exactly at the budget. Returns the number of
+/// instructions observed (less than `budget` when the program halts
+/// first).
 ///
 /// # Errors
 ///
 /// Returns the [`VmError`] if the program faults within the observed
-/// window. A fault past the budget is not reported — a per-step loop
-/// stopping at `budget` would never have executed it.
+/// window. A fault past the budget is never executed.
 pub fn drain_stream(
     vm: &mut Vm,
     budget: u64,
-    mut observe: impl FnMut(&DynInst),
+    observe: impl FnMut(&DynInst),
 ) -> Result<u64, VmError> {
-    let mut seen = 0u64;
-    let mut ring: Vec<DynInst> = Vec::with_capacity(72);
-    while seen < budget {
-        ring.clear();
-        let fault = vm.step_block(&mut ring);
-        for d in &ring {
-            observe(d);
-            seen += 1;
-            if seen == budget {
-                return Ok(seen);
-            }
-        }
-        if let Some(e) = fault {
-            return Err(e);
-        }
-        if ring.is_empty() {
-            break; // machine halted
-        }
-    }
-    Ok(seen)
+    vm.fast_forward_observed(budget, observe)
+        .map(|s| s.executed)
 }
 
 /// Committed-instruction budget for pipeline experiments.

@@ -19,6 +19,7 @@ mod experiments;
 mod harness;
 pub mod pool;
 pub mod sampling;
+mod store;
 
 pub use checkpoint::{config_fingerprint, program_fingerprint, CheckpointStore};
 pub use dse::{

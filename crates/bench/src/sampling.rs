@@ -508,10 +508,10 @@ fn trap_at(vm: &Vm, e: dda_vm::VmError) -> SimError {
 ///
 /// # Errors
 ///
-/// [`dda_mem::TagsError`] when the payload is corrupt.
+/// [`dda_stats::DecodeError`] when the payload is corrupt.
 pub fn tags_from_checkpoint(
     ck: &dda_vm::Checkpoint,
-) -> Result<Option<HierarchyTags>, dda_mem::TagsError> {
+) -> Result<Option<HierarchyTags>, dda_stats::DecodeError> {
     ck.cache_tags
         .as_deref()
         .map(HierarchyTags::from_bytes)

@@ -71,5 +71,5 @@ pub use error::{ConfigError, InvariantViolation, SimError, Trap, TrapKind};
 pub use fault::{FaultPlan, FaultStats};
 pub use fu::FuPools;
 pub use pipeline::Simulator;
-pub use result::{QueueStats, ResultCodecError, SimResult, WindowRun};
+pub use result::{QueueStats, SimResult, WindowRun};
 pub use trace::{InstrTrace, MemPath};

@@ -756,23 +756,41 @@ impl<'c> Core<'c> {
     /// whose address is effective but which has neither launched nor
     /// completed must be reachable from a wake list or registered on a
     /// resident store's waiter list — otherwise no future event would
-    /// ever examine it and the pipeline would wedge.
+    /// ever examine it and the pipeline would wedge. And no waiter list
+    /// holds the same load twice, so each list stays bounded by the live
+    /// loads. Allocation-free: the auditor runs every cycle.
     fn audit_wake_liveness(&self) -> Option<String> {
-        let mut reachable: std::collections::HashSet<(usize, u64)> =
-            std::collections::HashSet::new();
-        for &(_, slot, uid) in self.lsq_wake.iter().chain(self.lvaq_wake.iter()) {
-            reachable.insert((slot, uid));
-        }
-        for q in [&self.lsq, &self.lvaq] {
-            for i in 0..q.len() {
-                let e = self.rob.get(q.slot_at(i));
-                if let Some(m) = e.mem.as_ref() {
-                    for &w in &m.waiters {
-                        reachable.insert(w);
-                    }
+        let residents = || {
+            [&self.lsq, &self.lvaq]
+                .into_iter()
+                .flat_map(|q| (0..q.len()).map(move |i| q.slot_at(i)))
+        };
+        for slot in residents() {
+            let Some(m) = self.rob.get(slot).mem.as_ref() else {
+                continue;
+            };
+            for (k, w) in m.waiters.iter().enumerate() {
+                if m.waiters[k + 1..].contains(w) {
+                    return Some(format!(
+                        "store in slot {slot}: load (slot {}, uid {}) registered twice",
+                        w.0, w.1
+                    ));
                 }
             }
         }
+        let reachable = |key: (usize, u64)| {
+            self.lsq_wake
+                .iter()
+                .chain(self.lvaq_wake.iter())
+                .any(|&(_, slot, uid)| (slot, uid) == key)
+                || residents().any(|s| {
+                    self.rob
+                        .get(s)
+                        .mem
+                        .as_ref()
+                        .is_some_and(|m| m.waiters.contains(&key))
+                })
+        };
         for (name, q, here) in [("LSQ", &self.lsq, false), ("LVAQ", &self.lvaq, true)] {
             for i in 0..q.len() {
                 let slot = q.slot_at(i);
@@ -781,7 +799,7 @@ impl<'c> Core<'c> {
                 if m.in_lvaq != here || m.is_store || m.launched || e.completed {
                     continue;
                 }
-                if m.addr_known(self.cycle) && !reachable.contains(&(slot, e.uid)) {
+                if m.addr_known(self.cycle) && !reachable((slot, e.uid)) {
                     return Some(format!(
                         "{name} position {i} (slot {slot}): actionable load unreachable \
                          from wake lists and waiter lists"
@@ -1193,10 +1211,12 @@ impl<'c> Core<'c> {
             }
         }
         let w = &mut self.rob.get_mut(store_slot).mem_mut().waiters;
-        // A load re-blocking on the same store is the common case; keep
-        // the list duplicate-free for it (full dedup happens in the wake
-        // lists anyway).
-        if w.last() != Some(&(load_slot, uid)) {
+        // A load re-blocks on the same store every cycle it is refused
+        // (saturated MSHRs re-arm it), interleaved with other loads, so
+        // dedup against the whole list. A registered load is younger
+        // than its store and cannot retire first, so the list holds at
+        // most one entry per live load.
+        if !w.contains(&(load_slot, uid)) {
             w.push((load_slot, uid));
         }
     }

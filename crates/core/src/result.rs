@@ -1,7 +1,7 @@
 //! Simulation results and statistics.
 
 use dda_mem::{DataCacheStats, L2Stats};
-use dda_stats::{ByteReader, ByteWriter, CodecError, Histogram};
+use dda_stats::{ByteReader, ByteWriter, DecodeError, Histogram};
 
 use crate::fault::FaultStats;
 
@@ -226,47 +226,10 @@ impl SimResult {
 // a cached record that decodes must be indistinguishable from a fresh
 // simulation of the same inputs.
 
-/// Magic word opening a serialized [`SimResult`] (`b"DDARSLT1"`).
-const RESULT_MAGIC: u64 = u64::from_le_bytes(*b"DDARSLT1");
+/// Magic opening a serialized [`SimResult`].
+const RESULT_MAGIC: &[u8; 8] = b"DDARSLT1";
 /// Format version of the serialized [`SimResult`] layout.
 const RESULT_VERSION: u32 = 1;
-
-/// Why a serialized [`SimResult`] failed to decode.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ResultCodecError {
-    /// The input ended before the structure did.
-    Truncated(CodecError),
-    /// The magic word was wrong — not a serialized result at all.
-    BadMagic(u64),
-    /// The version word named a layout this build does not read.
-    BadVersion(u32),
-    /// A tag byte held a value outside its enumeration.
-    BadTag(u8),
-    /// Well-formed structure followed by trailing garbage.
-    TrailingBytes(usize),
-}
-
-impl std::fmt::Display for ResultCodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResultCodecError::Truncated(e) => write!(f, "truncated result record: {e}"),
-            ResultCodecError::BadMagic(m) => write!(f, "bad result-record magic {m:#018x}"),
-            ResultCodecError::BadVersion(v) => write!(f, "unsupported result-record version {v}"),
-            ResultCodecError::BadTag(t) => write!(f, "invalid result-record tag byte {t}"),
-            ResultCodecError::TrailingBytes(n) => {
-                write!(f, "{n} trailing bytes after result record")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ResultCodecError {}
-
-impl From<CodecError> for ResultCodecError {
-    fn from(e: CodecError) -> ResultCodecError {
-        ResultCodecError::Truncated(e)
-    }
-}
 
 fn encode_queue(w: &mut ByteWriter, q: &QueueStats) {
     w.put_u64(q.loads);
@@ -279,7 +242,7 @@ fn encode_queue(w: &mut ByteWriter, q: &QueueStats) {
     q.occupancy.encode(w);
 }
 
-fn decode_queue(r: &mut ByteReader) -> Result<QueueStats, ResultCodecError> {
+fn decode_queue(r: &mut ByteReader) -> Result<QueueStats, DecodeError> {
     Ok(QueueStats {
         loads: r.get_u64()?,
         stores: r.get_u64()?,
@@ -301,7 +264,7 @@ fn encode_cache(w: &mut ByteWriter, c: &DataCacheStats) {
     w.put_u64(c.mshr_stalls);
 }
 
-fn decode_cache(r: &mut ByteReader) -> Result<DataCacheStats, ResultCodecError> {
+fn decode_cache(r: &mut ByteReader) -> Result<DataCacheStats, DecodeError> {
     Ok(DataCacheStats {
         reads: r.get_u64()?,
         writes: r.get_u64()?,
@@ -316,8 +279,7 @@ impl SimResult {
     /// Serializes this result with the format's magic and version words.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(512);
-        w.put_u64(RESULT_MAGIC);
-        w.put_u32(RESULT_VERSION);
+        w.put_header(RESULT_MAGIC, RESULT_VERSION);
         w.put_u64(self.cycles);
         w.put_u64(self.committed);
         w.put_u8(self.halted as u8);
@@ -360,13 +322,11 @@ impl SimResult {
     ///
     /// # Errors
     ///
-    /// A [`ResultCodecError`] describing the first malformation.
-    pub fn from_bytes(bytes: &[u8]) -> Result<SimResult, ResultCodecError> {
+    /// A [`DecodeError`] describing the first malformation.
+    pub fn from_bytes(bytes: &[u8]) -> Result<SimResult, DecodeError> {
         let mut r = ByteReader::new(bytes);
         let res = SimResult::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(ResultCodecError::TrailingBytes(r.remaining()));
-        }
+        r.finish()?;
         Ok(res)
     }
 
@@ -376,22 +336,11 @@ impl SimResult {
     /// # Errors
     ///
     /// As for [`SimResult::from_bytes`], without the trailing-bytes check.
-    pub fn decode(r: &mut ByteReader) -> Result<SimResult, ResultCodecError> {
-        let magic = r.get_u64()?;
-        if magic != RESULT_MAGIC {
-            return Err(ResultCodecError::BadMagic(magic));
-        }
-        let version = r.get_u32()?;
-        if version != RESULT_VERSION {
-            return Err(ResultCodecError::BadVersion(version));
-        }
+    pub fn decode(r: &mut ByteReader) -> Result<SimResult, DecodeError> {
+        r.header(RESULT_MAGIC, RESULT_VERSION)?;
         let cycles = r.get_u64()?;
         let committed = r.get_u64()?;
-        let halted = match r.get_u8()? {
-            0 => false,
-            1 => true,
-            t => return Err(ResultCodecError::BadTag(t)),
-        };
+        let halted = r.get_bool()?;
         let stall_rob_full = r.get_u64()?;
         let stall_lsq_full = r.get_u64()?;
         let stall_lvaq_full = r.get_u64()?;
@@ -399,10 +348,10 @@ impl SimResult {
         let lsq = decode_queue(r)?;
         let lvaq = decode_queue(r)?;
         let l1 = decode_cache(r)?;
-        let lvc = match r.get_u8()? {
-            0 => None,
-            1 => Some(decode_cache(r)?),
-            t => return Err(ResultCodecError::BadTag(t)),
+        let lvc = if r.get_bool()? {
+            Some(decode_cache(r)?)
+        } else {
+            None
         };
         let l2 = L2Stats {
             requests_from_l1: r.get_u64()?,
@@ -609,38 +558,26 @@ mod tests {
         // Wrong magic.
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
-        assert!(matches!(
+        assert_eq!(
             SimResult::from_bytes(&bad),
-            Err(ResultCodecError::BadMagic(_))
-        ));
+            Err(DecodeError::BadMagic {
+                expected: *RESULT_MAGIC
+            })
+        );
         // Future version.
         let mut bad = good.clone();
         bad[8] = 99;
-        assert!(matches!(
+        assert_eq!(
             SimResult::from_bytes(&bad),
-            Err(ResultCodecError::BadVersion(99))
-        ));
-        // Truncation anywhere in the structure.
-        for cut in [0, 7, 11, good.len() / 2, good.len() - 1] {
-            assert!(
-                SimResult::from_bytes(&good[..cut]).is_err(),
-                "cut at {cut} decoded"
-            );
-        }
-        // Trailing garbage.
-        let mut bad = good.clone();
-        bad.push(0);
-        assert!(matches!(
-            SimResult::from_bytes(&bad),
-            Err(ResultCodecError::TrailingBytes(1))
-        ));
-        // A tag byte outside 0/1 (the halted flag sits right after the
+            Err(DecodeError::BadVersion(99))
+        );
+        // A flag byte outside 0/1 (the halted flag sits right after the
         // magic and version words).
         let mut bad = good;
         bad[8 + 4 + 16] = 7;
         assert!(matches!(
             SimResult::from_bytes(&bad),
-            Err(ResultCodecError::BadTag(7))
+            Err(DecodeError::Corrupt(_))
         ));
     }
 

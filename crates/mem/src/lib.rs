@@ -54,4 +54,4 @@ pub use hierarchy::Hierarchy;
 pub use l2::{L2Source, L2Stats, L2};
 pub use mshr::MshrFile;
 pub use port::PortMeter;
-pub use tags::{CacheTags, FunctionalWarmup, HierarchyTags, TagLine, TagsError};
+pub use tags::{CacheTags, FunctionalWarmup, HierarchyTags, TagLine};

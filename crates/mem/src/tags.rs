@@ -14,7 +14,7 @@
 //! makes it checkpoint-safe: replaying the same prefix — continuously or
 //! resumed from a snapshot — produces bit-identical tags.
 
-use dda_stats::{ByteReader, ByteWriter, CodecError};
+use dda_stats::{ByteReader, ByteWriter, DecodeError};
 
 use crate::cache_core::CacheCore;
 use crate::config::HierarchyConfig;
@@ -66,38 +66,6 @@ const MAGIC: &[u8; 8] = b"DDATAGS\0";
 /// Current format version.
 const VERSION: u32 = 1;
 
-/// Error decoding a [`HierarchyTags`] byte image.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TagsError {
-    /// The input does not start with the tags magic.
-    BadMagic,
-    /// The format version is newer than this build understands.
-    UnsupportedVersion(u32),
-    /// The input ended mid-field.
-    Truncated(CodecError),
-    /// A structurally invalid field.
-    Corrupt(&'static str),
-}
-
-impl std::fmt::Display for TagsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TagsError::BadMagic => write!(f, "not a tag snapshot (bad magic)"),
-            TagsError::UnsupportedVersion(v) => write!(f, "unsupported tag-snapshot version {v}"),
-            TagsError::Truncated(e) => write!(f, "truncated tag snapshot: {e}"),
-            TagsError::Corrupt(what) => write!(f, "corrupt tag snapshot: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for TagsError {}
-
-impl From<CodecError> for TagsError {
-    fn from(e: CodecError) -> TagsError {
-        TagsError::Truncated(e)
-    }
-}
-
 fn put_cache(w: &mut ByteWriter, tags: &CacheTags) {
     w.put_u64(tags.clock);
     w.put_u32(tags.lines.len() as u32);
@@ -108,7 +76,7 @@ fn put_cache(w: &mut ByteWriter, tags: &CacheTags) {
     }
 }
 
-fn get_cache(r: &mut ByteReader<'_>) -> Result<CacheTags, TagsError> {
+fn get_cache(r: &mut ByteReader<'_>) -> Result<CacheTags, DecodeError> {
     let clock = r.get_u64()?;
     let n = r.get_u32()? as usize;
     let mut lines = Vec::with_capacity(n.min(1 << 20));
@@ -116,7 +84,7 @@ fn get_cache(r: &mut ByteReader<'_>) -> Result<CacheTags, TagsError> {
         let tag = r.get_u32()?;
         let flags = r.get_u8()?;
         if flags > 3 {
-            return Err(TagsError::Corrupt("line flags"));
+            return Err(DecodeError::Corrupt("line flags"));
         }
         let lru = r.get_u64()?;
         lines.push(TagLine {
@@ -134,8 +102,7 @@ impl HierarchyTags {
     /// section a `dda-vm` checkpoint carries).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(64 + self.l1.lines.len() * 13);
-        w.put_raw(MAGIC);
-        w.put_u32(VERSION);
+        w.put_header(MAGIC, VERSION);
         put_cache(&mut w, &self.l1);
         match &self.lvc {
             None => w.put_u8(0),
@@ -152,28 +119,20 @@ impl HierarchyTags {
     ///
     /// # Errors
     ///
-    /// Returns a [`TagsError`] on bad magic, unknown version, truncation
+    /// Returns a [`DecodeError`] on bad magic, unknown version, truncation
     /// or structural corruption. Geometry fit is checked at import time
     /// against the actual hierarchy.
-    pub fn from_bytes(buf: &[u8]) -> Result<HierarchyTags, TagsError> {
+    pub fn from_bytes(buf: &[u8]) -> Result<HierarchyTags, DecodeError> {
         let mut r = ByteReader::new(buf);
-        if r.get_raw(8).map_err(|_| TagsError::BadMagic)? != MAGIC {
-            return Err(TagsError::BadMagic);
-        }
-        let version = r.get_u32()?;
-        if version != VERSION {
-            return Err(TagsError::UnsupportedVersion(version));
-        }
+        r.header(MAGIC, VERSION)?;
         let l1 = get_cache(&mut r)?;
-        let lvc = match r.get_u8()? {
-            0 => None,
-            1 => Some(get_cache(&mut r)?),
-            _ => return Err(TagsError::Corrupt("lvc flag")),
+        let lvc = if r.get_bool()? {
+            Some(get_cache(&mut r)?)
+        } else {
+            None
         };
         let l2 = get_cache(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(TagsError::Corrupt("trailing bytes"));
-        }
+        r.finish()?;
         Ok(HierarchyTags { l1, lvc, l2 })
     }
 }
@@ -295,8 +254,8 @@ mod tests {
         let mut a = FunctionalWarmup::new(&cfg());
         let mut b = FunctionalWarmup::new(&cfg());
         let touch = |w: &mut FunctionalWarmup, i: u32| {
-            w.touch(0x7fff_f000 - (i % 97) * 32, i % 3 == 0, true);
-            w.touch(0x2000_0000 + i * 64, i % 5 == 0, false);
+            w.touch(0x7fff_f000 - (i % 97) * 32, i.is_multiple_of(3), true);
+            w.touch(0x2000_0000 + i * 64, i.is_multiple_of(5), false);
         };
         for i in 0..300 {
             touch(&mut a, i);
@@ -329,12 +288,15 @@ mod tests {
 
     #[test]
     fn tags_decoding_rejects_garbage() {
-        assert_eq!(HierarchyTags::from_bytes(b"junk"), Err(TagsError::BadMagic));
+        assert_eq!(
+            HierarchyTags::from_bytes(b"junk"),
+            Err(DecodeError::BadMagic { expected: *MAGIC })
+        );
         let mut bytes = FunctionalWarmup::new(&cfg()).tags().to_bytes();
         bytes[8] = 9;
         assert_eq!(
             HierarchyTags::from_bytes(&bytes),
-            Err(TagsError::UnsupportedVersion(9))
+            Err(DecodeError::BadVersion(9))
         );
         let good = FunctionalWarmup::new(&cfg()).tags().to_bytes();
         for cut in 0..good.len().min(200) {

@@ -1,10 +1,14 @@
 //! A tiny little-endian byte codec and a stable content hash.
 //!
-//! Checkpoints and cache-tag snapshots are serialized with this codec so
+//! Every persisted record — result records, DSE cell outcomes,
+//! checkpoints and cache-tag snapshots — is serialized with this codec so
 //! the workspace stays free of external serialization crates. The format
 //! is deliberately dumb: fixed-width little-endian integers plus
-//! length-prefixed byte runs. Every consumer layers its own magic number
-//! and version word on top, so codec-level framing never needs to evolve.
+//! length-prefixed byte runs. The framing rule is the same for every
+//! record: an 8-byte magic and a `u32` version word
+//! ([`ByteWriter::put_header`] / [`ByteReader::header`]), the fields, and
+//! nothing after them ([`ByteReader::finish`]). Every malformation
+//! surfaces as one [`DecodeError`].
 //!
 //! [`fnv1a64`] is the content hash used for content-addressed checkpoint
 //! keys. Unlike [`crate::FibHasher`] (a hot-path map hasher with no
@@ -32,26 +36,47 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Error returned when a [`ByteReader`] runs past the end of its input.
+/// Why a record failed to decode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CodecError {
-    /// Byte offset at which the read was attempted.
-    pub at: usize,
-    /// Number of bytes the read needed.
-    pub wanted: usize,
+pub enum DecodeError {
+    /// The input ended mid-field.
+    Truncated {
+        /// Byte offset at which the read was attempted.
+        at: usize,
+        /// Number of bytes the read needed.
+        wanted: usize,
+    },
+    /// The input does not open with the record's magic (named here, so
+    /// the message says which format was expected).
+    BadMagic {
+        /// The magic the reader expected.
+        expected: [u8; 8],
+    },
+    /// The version word names a layout this build does not read.
+    BadVersion(u32),
+    /// A structurally invalid field.
+    Corrupt(&'static str),
+    /// A well-formed record followed by this many trailing bytes.
+    TrailingBytes(usize),
 }
 
-impl std::fmt::Display for CodecError {
+impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "truncated input: wanted {} bytes at offset {}",
-            self.wanted, self.at
-        )
+        match self {
+            DecodeError::Truncated { at, wanted } => {
+                write!(f, "truncated input: wanted {wanted} bytes at offset {at}")
+            }
+            DecodeError::BadMagic { expected } => {
+                write!(f, "bad magic: not a \"{}\" record", expected.escape_ascii())
+            }
+            DecodeError::BadVersion(v) => write!(f, "unsupported format version {v}"),
+            DecodeError::Corrupt(what) => write!(f, "corrupt record: {what}"),
+            DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after the record"),
+        }
     }
 }
 
-impl std::error::Error for CodecError {}
+impl std::error::Error for DecodeError {}
 
 /// Append-only little-endian byte encoder.
 #[derive(Default, Debug)]
@@ -94,6 +119,12 @@ impl ByteWriter {
     /// ones, for cached-vs-fresh differential checks to be meaningful.
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
+    }
+
+    /// Opens a record: its 8-byte magic, then its `u32` version word.
+    pub fn put_header(&mut self, magic: &[u8; 8], version: u32) {
+        self.put_raw(magic);
+        self.put_u32(version);
     }
 
     /// Appends raw bytes with no framing.
@@ -156,9 +187,9 @@ impl<'a> ByteReader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
-            return Err(CodecError {
+            return Err(DecodeError::Truncated {
                 at: self.pos,
                 wanted: n,
             });
@@ -169,12 +200,21 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads one byte.
-    pub fn get_u8(&mut self) -> Result<u8, CodecError> {
+    pub fn get_u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
 
+    /// Reads a 0/1 flag byte; any other value is corrupt.
+    pub fn get_bool(&mut self) -> Result<bool, DecodeError> {
+        match self.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(DecodeError::Corrupt("flag byte not 0 or 1")),
+        }
+    }
+
     /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, CodecError> {
+    pub fn get_u32(&mut self) -> Result<u32, DecodeError> {
         let s = self.take(4)?;
         let mut b = [0u8; 4];
         b.copy_from_slice(s);
@@ -182,7 +222,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, CodecError> {
+    pub fn get_u64(&mut self) -> Result<u64, DecodeError> {
         let s = self.take(8)?;
         let mut b = [0u8; 8];
         b.copy_from_slice(s);
@@ -190,20 +230,40 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads an `f64` written by [`ByteWriter::put_f64`], bit-exactly.
-    pub fn get_f64(&mut self) -> Result<f64, CodecError> {
+    pub fn get_f64(&mut self) -> Result<f64, DecodeError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Reads exactly `n` raw bytes.
-    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         self.take(n)
     }
 
     /// Reads a `u32`-length-prefixed byte run (written by
     /// [`ByteWriter::put_bytes`]).
-    pub fn get_bytes(&mut self) -> Result<&'a [u8], CodecError> {
+    pub fn get_bytes(&mut self) -> Result<&'a [u8], DecodeError> {
         let n = self.get_u32()? as usize;
         self.take(n)
+    }
+
+    /// Checks a header written by [`ByteWriter::put_header`]. An input
+    /// shorter than the magic has bad magic, not a truncated one.
+    pub fn header(&mut self, magic: &[u8; 8], version: u32) -> Result<(), DecodeError> {
+        if self.get_raw(8).ok() != Some(&magic[..]) {
+            return Err(DecodeError::BadMagic { expected: *magic });
+        }
+        match self.get_u32()? {
+            v if v == version => Ok(()),
+            v => Err(DecodeError::BadVersion(v)),
+        }
+    }
+
+    /// Ends a record: every byte of the input must have been read.
+    pub fn finish(&self) -> Result<(), DecodeError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(DecodeError::TrailingBytes(n)),
+        }
     }
 }
 
@@ -261,6 +321,37 @@ mod tests {
         let buf = w.into_vec();
         let mut r = ByteReader::new(&buf);
         assert!(r.get_bytes().is_err());
+    }
+
+    #[test]
+    fn header_flags_and_finish() {
+        let mut w = ByteWriter::new();
+        w.put_header(b"DDATEST1", 3);
+        w.put_u8(1);
+        w.put_u8(2);
+        let buf = w.into_vec();
+        // The header is the magic's bytes followed by the version word.
+        assert_eq!(&buf[..8], b"DDATEST1");
+        let mut r = ByteReader::new(&buf);
+        assert_eq!(r.header(b"DDATEST1", 3), Ok(()));
+        assert_eq!(r.get_bool(), Ok(true));
+        assert_eq!(r.finish(), Err(DecodeError::TrailingBytes(1)));
+        assert_eq!(
+            r.get_bool(),
+            Err(DecodeError::Corrupt("flag byte not 0 or 1"))
+        );
+        assert_eq!(r.finish(), Ok(()));
+
+        let other = DecodeError::BadMagic {
+            expected: *b"DDAOTHER",
+        };
+        assert_eq!(ByteReader::new(&buf).header(b"DDAOTHER", 3), Err(other));
+        assert_eq!(ByteReader::new(b"DDA").header(b"DDAOTHER", 3), Err(other));
+        assert_eq!(
+            ByteReader::new(&buf).header(b"DDATEST1", 4),
+            Err(DecodeError::BadVersion(3))
+        );
+        assert_eq!(other.to_string(), "bad magic: not a \"DDAOTHER\" record");
     }
 
     #[test]

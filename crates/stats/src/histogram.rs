@@ -163,8 +163,8 @@ impl Histogram {
     ///
     /// # Errors
     ///
-    /// [`crate::CodecError`] when the input is truncated.
-    pub fn decode(r: &mut crate::ByteReader) -> Result<Histogram, crate::CodecError> {
+    /// [`crate::DecodeError`] when the input is truncated.
+    pub fn decode(r: &mut crate::ByteReader) -> Result<Histogram, crate::DecodeError> {
         let n = r.get_u32()?;
         let mut h = Histogram::new();
         for _ in 0..n {

@@ -236,7 +236,7 @@ mod tests {
     #[test]
     fn op_class_is_a_bijection_over_the_class_partition() {
         let all = every_instr();
-        let mut seen = vec![false; OP_CLASS_COUNT];
+        let mut seen = [false; OP_CLASS_COUNT];
         for i in &all {
             let c = op_class(i);
             assert!(c < OP_CLASS_COUNT, "{i} -> class {c} out of range");

@@ -53,5 +53,5 @@ pub use coverage::{op_class, CoverageMap, EDGE_BUCKETS, OP_CLASS_COUNT};
 pub use machine::{DynInst, MemInfo, RunSummary, Stream, Vm, VmError};
 pub use memory::SparseMemory;
 pub use profile::{StreamProfiler, StreamStats};
-pub use snapshot::{Checkpoint, CheckpointKey, SnapshotError};
+pub use snapshot::{Checkpoint, CheckpointKey};
 pub use tcache::TCacheStats;

