@@ -69,13 +69,15 @@ pub struct MachineConfig {
     /// Abort if this many cycles elapse with no commit (a simulator-bug
     /// backstop, not a micro-architectural feature).
     pub deadlock_cycles: u64,
-    /// Run the memory schedulers with the straightforward rescan-per-cycle
-    /// implementation instead of the incrementally cached one. The two are
-    /// architecturally identical — debug builds cross-check every decision
-    /// and a regression test compares full [`crate::SimResult`]s — so this
-    /// exists as the oracle for that comparison and as the baseline the
-    /// repository benchmark measures kernel speed against. Simulation
-    /// *results* never depend on this flag, only wall-clock time.
+    /// Run the reference kernel instead of the fast one: a binary-heap
+    /// event queue, per-cycle queue rescans, a whole-ROB issue walk,
+    /// per-cycle occupancy histograms and an interpretive one-instruction
+    /// front-end, in place of the fast kernel's event wheel, wake lists,
+    /// ready lists and translation cache. The two are architecturally
+    /// identical, so this exists as the differential oracle: the
+    /// determinism tests and the fuzzer compare full
+    /// [`crate::SimResult`]s between the kernels. Simulation *results*
+    /// never depend on this flag, only wall-clock time.
     pub reference_kernel: bool,
     /// Fault-injection plan; [`FaultPlan::none`] (the default) injects
     /// nothing and leaves results bit-identical to an unfaulted run.

@@ -39,6 +39,8 @@ use crate::queue::MemQueue;
 use crate::result::{QueueStats, SimResult, WindowRun};
 use crate::trace::{InstrTrace, MemPath, Tracer};
 
+mod reference;
+
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 enum EvKind {
     AddrReady,
@@ -326,12 +328,11 @@ impl Simulator {
     }
 }
 
-/// Per-pc static decode memo for the fast kernel's dispatch stage: FU
-/// class, defined register, and source operands are a function of the
-/// static instruction alone, so they are resolved once per program here
-/// instead of once per dynamic instance. Register slots hold unified
-/// indices into the rename table, [`NO_REG`] for none. The reference
-/// kernel keeps decoding per dispatch, as the seed implementation did.
+/// Per-pc static decode memo for the dispatch stage: FU class, defined
+/// register, and source operands are a function of the static
+/// instruction alone, so they are resolved once per program here instead
+/// of once per dynamic instance. Register slots hold unified indices into
+/// the rename table, [`NO_REG`] for none.
 #[derive(Clone, Copy)]
 struct SDec {
     fu: FuClass,
@@ -358,8 +359,7 @@ struct Core<'c> {
     vm: Vm,
     rob: Rob,
     rename: Vec<Option<(usize, u64)>>,
-    /// Static decode memo indexed by pc (fast kernel only; empty under
-    /// the reference kernel).
+    /// Static decode memo indexed by pc.
     sdec: Vec<SDec>,
     lsq: MemQueue,
     lvaq: MemQueue,
@@ -369,9 +369,8 @@ struct Core<'c> {
     lvc_ports: Option<PortMeter>,
     classifier: Classifier,
     events: EventWheel,
-    /// The seed implementation's event queue, used (exclusively) by the
-    /// reference kernel so its per-cycle costs stay faithful to the
-    /// pre-optimization baseline.
+    /// The reference kernel's event queue: a binary heap, an algorithm
+    /// independent of the fast kernel's wheel.
     events_heap: BinaryHeap<Reverse<Ev>>,
     /// Scratch buffer for the current cycle's event batch (capacity kept
     /// across cycles).
@@ -381,10 +380,8 @@ struct Core<'c> {
     /// measurable at simulation rates).
     occ_lsq: Vec<u64>,
     occ_lvaq: Vec<u64>,
-    pending: Option<DynInst>,
-    /// Dispatch ring (fast kernel): dynamic instructions pre-pulled from
-    /// the VM one basic block at a time via [`Vm::step_block`], drained
-    /// front to back. The reference kernel never touches it.
+    /// Dispatch ring: dynamic instructions pre-pulled from the VM by
+    /// [`Core::fill_ring`], drained front to back.
     inst_ring: Vec<DynInst>,
     /// Index of the next undelivered record in `inst_ring`.
     ring_head: usize,
@@ -432,9 +429,9 @@ struct Core<'c> {
     /// Recycled waiter vectors (see [`MemState::waiters`]), pooled like
     /// `dep_pool`.
     waiter_pool: Vec<Vec<(usize, u64)>>,
-    /// Recycled `dependents` vectors (fast kernel): dispatch draws from
-    /// here and retire/writeback return emptied vectors, so steady-state
-    /// execution performs no per-instruction heap traffic.
+    /// Recycled `dependents` vectors: dispatch draws from here and
+    /// retire/writeback return emptied vectors, so steady-state execution
+    /// performs no per-instruction heap traffic.
     dep_pool: Vec<Vec<Dependent>>,
     /// Recycled [`MemState`] boxes (both kernels): retire returns them,
     /// dispatch reuses them, so memory instructions allocate only until
@@ -461,11 +458,7 @@ struct Core<'c> {
 impl<'c> Core<'c> {
     fn new(cfg: &'c MachineConfig, vm: Vm, tracer: Option<Tracer>) -> Core<'c> {
         let hier = Hierarchy::new(cfg.hierarchy);
-        let sdec = if cfg.reference_kernel {
-            Vec::new()
-        } else {
-            vm.program().instrs().iter().map(SDec::of).collect()
-        };
+        let sdec = vm.program().instrs().iter().map(SDec::of).collect();
         Core {
             vm,
             rob: Rob::new(cfg.rob_size),
@@ -482,7 +475,6 @@ impl<'c> Core<'c> {
             wb_batch: Vec::new(),
             occ_lsq: vec![0; cfg.lsq_size + 1],
             occ_lvaq: vec![0; cfg.decoupling.lvaq_size + 1],
-            pending: None,
             // One basic block per refill; blocks are capped well below
             // this, so the ring never reallocates.
             inst_ring: Vec::with_capacity(72),
@@ -582,11 +574,17 @@ impl<'c> Core<'c> {
             if self.done(max_instructions) {
                 break;
             }
-            self.writeback();
-            self.memory_schedule();
-            self.issue();
-            self.dispatch(max_instructions)?;
-            self.sample_occupancy();
+            // The kernel is chosen here, once per cycle; commit, dispatch,
+            // the auditor and the watchdog are shared.
+            if self.cfg.reference_kernel {
+                self.reference_stages(max_instructions)?;
+            } else {
+                self.writeback();
+                self.memory_schedule();
+                self.issue();
+                self.dispatch(max_instructions)?;
+                self.sample_occupancy();
+            }
             if self.cfg.audit {
                 if let Some(what) = self.audit_cycle() {
                     return Err(SimError::InvariantViolation(Box::new(InvariantViolation {
@@ -821,7 +819,6 @@ impl<'c> Core<'c> {
         // it — the ring conditions keep `done` firing at exactly the
         // cycle the one-at-a-time front-end would.
         self.vm.is_halted()
-            && self.pending.is_none()
             && self.ring_head >= self.inst_ring.len()
             && self.ring_err.is_none()
             && self.rob.is_empty()
@@ -958,13 +955,11 @@ impl<'c> Core<'c> {
             // (inside `drain_waiter_list`), the box through `mem_pool`.
             let waiters = std::mem::take(&mut m.waiters);
             self.mem_pool.push(m);
-            if !self.cfg.reference_kernel {
-                // A departing store unblocks the loads scanned up against
-                // it (commit runs before memory scheduling, so they
-                // re-examine this same cycle — just like the reference
-                // rescan would).
-                self.drain_waiter_list(waiters);
-            }
+            // A departing store unblocks the loads scanned up against it
+            // (commit runs before memory scheduling, so they re-examine
+            // this same cycle — just like the reference rescan would).
+            // The reference kernel registers no waiters.
+            self.drain_waiter_list(waiters);
         }
     }
 
@@ -1022,7 +1017,7 @@ impl<'c> Core<'c> {
     /// retire, never both).
     #[inline]
     fn recycle_deps(&mut self, mut deps: Vec<Dependent>) {
-        if !self.cfg.reference_kernel && deps.capacity() > 0 {
+        if deps.capacity() > 0 {
             deps.clear();
             self.dep_pool.push(deps);
         }
@@ -1031,19 +1026,6 @@ impl<'c> Core<'c> {
     // ----- writeback ------------------------------------------------------
 
     fn writeback(&mut self) {
-        if self.cfg.reference_kernel {
-            // Seed implementation: pop the binary heap while due.
-            while let Some(&Reverse((t, _, _, _))) = self.events_heap.peek() {
-                if t > self.cycle {
-                    break;
-                }
-                let Some(Reverse((t, uid, slot, kind))) = self.events_heap.pop() else {
-                    break;
-                };
-                self.writeback_event(t, uid, slot, kind);
-            }
-            return;
-        }
         let mut batch = std::mem::take(&mut self.wb_batch);
         self.events.drain_due(self.cycle, &mut batch);
         // Restore the heap's pop order: within one cycle, ascending
@@ -1246,18 +1228,6 @@ impl<'c> Core<'c> {
     }
 
     fn memory_schedule(&mut self) {
-        if self.cfg.reference_kernel {
-            // Seed implementation: rescan every queue resident, every
-            // cycle.
-            if self.cfg.decoupling.fast_forwarding && self.hier.has_lvc() {
-                self.fast_forward_pass();
-            }
-            self.launch_queue(false);
-            if self.hier.has_lvc() {
-                self.launch_queue(true);
-            }
-            return;
-        }
         // Event-driven fast kernel: only woken loads are examined. Every
         // state change that can make a load actionable funnels into the
         // wake lists (address-ready and penalty expiry in
@@ -1396,25 +1366,6 @@ impl<'c> Core<'c> {
         }
     }
 
-    /// Fast data forwarding (paper §2.2.2): match an LVAQ load to an
-    /// earlier LVAQ store on `($sp` version, static offset)` — *before*
-    /// effective addresses are computed — and bypass the value in one
-    /// cycle, using neither the AGU result nor an LVC port.
-    fn fast_forward_pass(&mut self) {
-        // The reference kernel replays the original implementation
-        // verbatim: snapshot the queue, then rescan every older entry
-        // for every candidate load, every cycle. (The fast kernel's
-        // event-driven counterpart is `ff_exam`.)
-        let snapshot: Vec<usize> = (0..self.lvaq.len()).map(|j| self.lvaq.slot_at(j)).collect();
-        for (i, &slot) in snapshot.iter().enumerate() {
-            let Some((lver, loff, lbytes)) = self.ff_candidate(slot) else {
-                continue;
-            };
-            let outcome = ff_scan_full(&self.rob, &snapshot[..i], lver, loff, lbytes);
-            self.apply_fast_forward(slot, outcome);
-        }
-    }
-
     /// The per-load eligibility filter of the fast-forwarding pass;
     /// returns the load's `($sp` version, offset, bytes)` identity.
     fn ff_candidate(&self, slot: usize) -> Option<(u64, i32, u32)> {
@@ -1462,38 +1413,6 @@ impl<'c> Core<'c> {
         }
         if corrupt {
             self.rob.get_mut(slot).mem_mut().poisoned = true;
-        }
-    }
-
-    /// Launch ready loads of one queue to the cache (or forward from an
-    /// earlier store), respecting intra-queue disambiguation. Ports were
-    /// claimed at address-generation issue, so no arbitration happens
-    /// here.
-    fn launch_queue(&mut self, in_lvaq: bool) {
-        // Reference kernel: the original snapshot-and-rescan
-        // implementation. (The fast kernel's event-driven counterpart is
-        // `launch_exam`.)
-        let cycle = self.cycle;
-        let qlen = if in_lvaq {
-            self.lvaq.len()
-        } else {
-            self.lsq.len()
-        };
-        let snapshot: Vec<usize> = (0..qlen)
-            .map(|j| {
-                if in_lvaq {
-                    self.lvaq.slot_at(j)
-                } else {
-                    self.lsq.slot_at(j)
-                }
-            })
-            .collect();
-        for (i, &slot) in snapshot.iter().enumerate() {
-            let Some((addr, bytes)) = self.launch_candidate(slot, in_lvaq) else {
-                continue;
-            };
-            let outcome = disamb_scan_full(&self.rob, &snapshot[..i], cycle, addr, bytes);
-            self.apply_launch(in_lvaq, slot, addr, outcome);
         }
     }
 
@@ -1571,23 +1490,11 @@ impl<'c> Core<'c> {
 
     fn issue(&mut self) {
         let mut budget = self.cfg.issue_width;
-        if self.cfg.reference_kernel {
-            // Reference kernel: the original walk over a per-cycle
-            // materialization of every live ROB slot.
-            let slots: Vec<usize> = self.rob.slots_in_age_order().collect();
-            for slot in slots {
-                if budget == 0 {
-                    break;
-                }
-                self.try_issue_slot(slot, &mut budget, None);
-            }
-            return;
-        }
-        // Fast kernel: walk only the ready entries (all operands
-        // resolved, not yet issued). uid is monotone with dispatch
-        // order, so keeping each class list uid-sorted and merge-walking
-        // the three lists oldest-first selects exactly like the full ROB
-        // walk, since entries still waiting on operands cannot issue
+        // Walk only the ready entries (all operands resolved, not yet
+        // issued). uid is monotone with dispatch order, so keeping each
+        // class list uid-sorted and merge-walking the three lists
+        // oldest-first selects exactly like the reference kernel's full
+        // ROB walk, since entries still waiting on operands cannot issue
         // (and charge nothing) there either.
         for class in 0..3 {
             if self.newly_ready[class].is_empty() {
@@ -1715,8 +1622,7 @@ impl<'c> Core<'c> {
     /// charged without touching the meter, and a known-exhausted FU
     /// pool skips its scan without any charge; a refusal sets the
     /// corresponding latch. The reference kernel passes `None` and
-    /// re-asks every resource every time, as the seed implementation
-    /// did.
+    /// re-asks every resource every time.
     fn try_issue_slot(
         &mut self,
         slot: usize,
@@ -1880,12 +1786,13 @@ impl<'c> Core<'c> {
 
     // ----- dispatch -------------------------------------------------------
 
-    /// Ensures the ring holds an undelivered instruction, refilling one
-    /// basic block at a time through the VM's translation cache (fast
-    /// kernel only). Both kernels deliver bit-identical streams, and a
-    /// fault surfaces at exactly the same pull — a refill fault is
-    /// stashed in `ring_err` and returned only once the instructions
-    /// ahead of it have been delivered. `Ok(false)` = stream exhausted.
+    /// Ensures the ring holds an undelivered instruction. The fast kernel
+    /// refills one basic block at a time through the VM's translation
+    /// cache; the reference kernel interprets one instruction per refill
+    /// with [`Vm::step`]. Both deliver bit-identical streams, and a fault
+    /// surfaces at exactly the same pull — a refill fault is stashed in
+    /// `ring_err` and returned only once the instructions ahead of it
+    /// have been delivered. `Ok(false)` = stream exhausted.
     fn fill_ring(&mut self) -> Result<bool, VmError> {
         loop {
             if self.ring_head < self.inst_ring.len() {
@@ -1899,7 +1806,11 @@ impl<'c> Core<'c> {
             }
             self.inst_ring.clear();
             self.ring_head = 0;
-            self.ring_err = self.vm.step_block(&mut self.inst_ring);
+            self.ring_err = if self.cfg.reference_kernel {
+                self.vm.step().map(|d| self.inst_ring.extend(d)).err()
+            } else {
+                self.vm.step_block(&mut self.inst_ring)
+            };
         }
     }
 
@@ -1908,29 +1819,14 @@ impl<'c> Core<'c> {
             if self.dispatched >= max_instructions {
                 break;
             }
-            // Fetch. The reference kernel buffers the interpreter's pull
-            // in `pending` across stalled attempts (a stepped instruction
-            // cannot be un-stepped); the fast kernel leaves the ring head
-            // in place until the stall checks pass, so a stalled cycle
-            // re-examines it where it lies instead of bouncing it through
-            // a side buffer.
-            if self.cfg.reference_kernel {
-                if self.pending.is_none() {
-                    match self.vm.step() {
-                        Ok(Some(d)) => self.pending = Some(d),
-                        Ok(None) => break,
-                        // The workload raised an architectural fault:
-                        // surface it as a structured trap with timing
-                        // context.
-                        Err(e) => return Err(self.trap(e)),
-                    }
-                }
-            } else {
-                match self.fill_ring() {
-                    Ok(true) => {}
-                    Ok(false) => break,
-                    Err(e) => return Err(self.trap(e)),
-                }
+            // Fetch. The ring head stays in place until the stall checks
+            // pass, so a stalled cycle re-examines it where it lies.
+            match self.fill_ring() {
+                Ok(true) => {}
+                Ok(false) => break,
+                // The workload raised an architectural fault: surface it
+                // as a structured trap with timing context.
+                Err(e) => return Err(self.trap(e)),
             }
             if self.rob.is_full() {
                 self.res.stall_rob_full += 1;
@@ -1938,13 +1834,9 @@ impl<'c> Core<'c> {
             }
             // Steering and queue-space check for memory instructions
             // (examined in place: a stalled attempt repeats the exam next
-            // cycle, re-training the region predictor exactly like the
-            // seed implementation did).
+            // cycle, re-training the region predictor each time).
             let (is_mem, steer) = {
-                let d: &DynInst = match &self.pending {
-                    Some(p) => p,
-                    None => &self.inst_ring[self.ring_head],
-                };
+                let d = &self.inst_ring[self.ring_head];
                 let steer = if d.mem.is_some() && self.hier.has_lvc() {
                     Some(self.classifier.steer(d))
                 } else {
@@ -1973,23 +1865,9 @@ impl<'c> Core<'c> {
 
             // All stall checks passed: take the instruction off the
             // stream.
-            let d: DynInst = match self.pending.take() {
-                Some(p) => p,
-                None => {
-                    let v = self.inst_ring[self.ring_head];
-                    self.ring_head += 1;
-                    v
-                }
-            };
-
-            // Static decode: memoized per pc for the fast kernel, redone
-            // per dynamic instance by the reference kernel (seed
-            // behaviour).
-            let sd = if self.cfg.reference_kernel {
-                SDec::of(&d.instr)
-            } else {
-                self.sdec[d.pc as usize]
-            };
+            let d = self.inst_ring[self.ring_head];
+            self.ring_head += 1;
+            let sd = self.sdec[d.pc as usize];
 
             let uid = self.rob.next_uid();
             // The entry is assembled in full — memory state, rename
@@ -2154,11 +2032,7 @@ impl<'c> Core<'c> {
                 uid,
                 fu: sd.fu,
                 waiting,
-                dependents: if self.cfg.reference_kernel {
-                    Vec::new()
-                } else {
-                    self.dep_pool.pop().unwrap_or_default()
-                },
+                dependents: self.dep_pool.pop().unwrap_or_default(),
                 issued: false,
                 completed: false,
                 mem: mem_state,
@@ -2171,14 +2045,6 @@ impl<'c> Core<'c> {
     }
 
     fn sample_occupancy(&mut self) {
-        if self.cfg.reference_kernel {
-            // Seed implementation: a histogram map insert per cycle.
-            self.res.lsq.occupancy.record(self.lsq.len() as u64);
-            if self.hier.has_lvc() {
-                self.res.lvaq.occupancy.record(self.lvaq.len() as u64);
-            }
-            return;
-        }
         self.occ_lsq[self.lsq.len()] += 1;
         if self.hier.has_lvc() {
             self.occ_lvaq[self.lvaq.len()] += 1;
@@ -2228,64 +2094,6 @@ enum DisambScan {
     Cache,
 }
 
-/// The reference-kernel fast-forwarding scan: walks a queue snapshot's
-/// older entries youngest-first, skipping non-stores — the original
-/// rescan-per-cycle implementation, kept as the oracle and throughput
-/// baseline. Must decide exactly like [`ff_scan`].
-fn ff_scan_full(rob: &Rob, older: &[usize], lver: u64, loff: i32, lbytes: u32) -> FfScan {
-    for &sslot in older.iter().rev() {
-        let Some(sm) = &rob.get(sslot).mem else {
-            continue;
-        };
-        if !sm.is_store {
-            continue;
-        }
-        match sm.stack_slot {
-            None => return FfScan::Blocked,
-            Some((sver, soff)) => {
-                if sver != lver {
-                    return FfScan::Blocked;
-                } else if soff == loff && sm.bytes == lbytes {
-                    return FfScan::Match(sslot);
-                } else if ranges_overlap(soff, sm.bytes, loff, lbytes) {
-                    return FfScan::Blocked;
-                }
-            }
-        }
-    }
-    FfScan::NoMatch
-}
-
-/// The reference-kernel disambiguation scan, mirroring [`disamb_scan`]
-/// the way [`ff_scan_full`] mirrors [`ff_scan`].
-fn disamb_scan_full(rob: &Rob, older: &[usize], cycle: u64, addr: u32, bytes: u32) -> DisambScan {
-    for &sslot in older.iter().rev() {
-        let Some(sm) = &rob.get(sslot).mem else {
-            continue;
-        };
-        if !sm.is_store {
-            continue;
-        }
-        if !sm.addr_known(cycle) {
-            return DisambScan::Blocked;
-        }
-        if ranges_overlap_u32(sm.addr, sm.bytes, addr, bytes) {
-            return if contains(sm.addr, sm.bytes, addr, bytes) {
-                if sm.data_known(cycle) {
-                    DisambScan::Forward(sslot)
-                } else {
-                    DisambScan::Blocked
-                }
-            } else if sm.data_known(cycle) {
-                DisambScan::Cache
-            } else {
-                DisambScan::Blocked
-            };
-        }
-    }
-    DisambScan::Cache
-}
-
 /// Scans the stores of `q` older than ordinal `start`, youngest first, for
 /// a fast-forwarding candidate matching the load's `($sp` version,
 /// offset, bytes)`. Returns the outcome plus the new scan cursor: every
@@ -2303,20 +2111,8 @@ fn ff_scan(
     lbytes: u32,
 ) -> (FfScan, u64) {
     for (so, sslot) in q.stores_older_than(start) {
-        let sm = rob.get(sslot).mem();
-        match sm.stack_slot {
-            None => return (FfScan::Blocked, so + 1), // cannot prove independence
-            Some((sver, soff)) => {
-                if sver != lver {
-                    return (FfScan::Blocked, so + 1); // incomparable across $sp change
-                } else if soff == loff && sm.bytes == lbytes {
-                    return (FfScan::Match(sslot), so + 1);
-                } else if ranges_overlap(soff, sm.bytes, loff, lbytes) {
-                    return (FfScan::Blocked, so + 1); // partial overlap
-                }
-                // Provably disjoint in the same frame version: skip, and
-                // never rescan.
-            }
+        if let Some(out) = ff_rule(sslot, rob.get(sslot).mem(), lver, loff, lbytes) {
+            return (out, so + 1);
         }
     }
     (FfScan::NoMatch, 0)
@@ -2336,29 +2132,56 @@ fn disamb_scan(
     bytes: u32,
 ) -> (DisambScan, u64) {
     for (so, sslot) in q.stores_older_than(start) {
-        let sm = rob.get(sslot).mem();
-        if !sm.addr_known(cycle) {
-            return (DisambScan::Blocked, so + 1);
-        }
-        if ranges_overlap_u32(sm.addr, sm.bytes, addr, bytes) {
-            let out = if contains(sm.addr, sm.bytes, addr, bytes) {
-                if sm.data_known(cycle) {
-                    DisambScan::Forward(sslot)
-                } else {
-                    DisambScan::Blocked
-                }
-            } else if sm.data_known(cycle) {
-                // Partial overlap with the data available: conservatively
-                // go to the cache (after the store drains).
-                DisambScan::Cache
-            } else {
-                DisambScan::Blocked
-            };
+        if let Some(out) = disamb_rule(sslot, rob.get(sslot).mem(), cycle, addr, bytes) {
             return (out, so + 1);
         }
-        // Address known and disjoint: permanently skippable.
     }
     (DisambScan::Cache, 0)
+}
+
+/// Fast forwarding's decision (§2.2.2) against one older LVAQ store, in
+/// `sslot`, for a load identified by `($sp` version, offset, bytes)`.
+/// `None` means the store is provably disjoint in the same frame version
+/// and the scan moves on to the next older store. Both kernels' scans
+/// decide through here.
+fn ff_rule(sslot: usize, sm: &MemState, lver: u64, loff: i32, lbytes: u32) -> Option<FfScan> {
+    match sm.stack_slot {
+        // No stack-slot identity: independence cannot be proven.
+        None => Some(FfScan::Blocked),
+        // Offsets are incomparable across an `$sp` change.
+        Some((sver, _)) if sver != lver => Some(FfScan::Blocked),
+        Some((_, soff)) if soff == loff && sm.bytes == lbytes => Some(FfScan::Match(sslot)),
+        // A partial overlap blocks.
+        Some((_, soff)) => ranges_overlap(soff, sm.bytes, loff, lbytes).then_some(FfScan::Blocked),
+    }
+}
+
+/// In-queue disambiguation's decision against one older store, in
+/// `sslot`, for a load at `addr`/`bytes`. `None` means the store's
+/// address is known and disjoint and the scan moves on. Both kernels'
+/// scans decide through here.
+fn disamb_rule(
+    sslot: usize,
+    sm: &MemState,
+    cycle: u64,
+    addr: u32,
+    bytes: u32,
+) -> Option<DisambScan> {
+    if !sm.addr_known(cycle) {
+        return Some(DisambScan::Blocked);
+    }
+    if !ranges_overlap_u32(sm.addr, sm.bytes, addr, bytes) {
+        return None;
+    }
+    Some(if !sm.data_known(cycle) {
+        DisambScan::Blocked
+    } else if contains(sm.addr, sm.bytes, addr, bytes) {
+        DisambScan::Forward(sslot)
+    } else {
+        // Partial overlap with the data available: conservatively go to
+        // the cache (after the store drains).
+        DisambScan::Cache
+    })
 }
 
 /// Merges two uid-sorted issue-candidate lists, preserving order.

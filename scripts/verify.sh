@@ -36,7 +36,8 @@
 # there must surface as a typed error value. Two more clippy gates keep
 # every crate free of warnings, tests and examples included: the bench
 # crate with its binaries and the root package, then the simulation
-# crates.
+# crates. The rustdoc gate keeps every doc comment's intra-doc links
+# resolving, private items included.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -80,6 +81,9 @@ cargo clippy -q --all-targets -p dda-bench -p dda -- -D warnings
 echo "== clippy: no warnings in the simulation crates, tests included"
 cargo clippy -q --all-targets -p dda-core -p dda-vm -p dda-mem -p dda-program \
     -p dda-stats -p dda-isa -p dda-workloads -- -D warnings
+
+echo "== rustdoc: no warnings, private items included"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --document-private-items
 
 # Block-cache smoke: one loop-heavy and one call-heavy program replayed
 # through the translation cache and cross-checked instruction-for-

@@ -9,6 +9,8 @@
 use std::sync::Arc;
 
 use dda::core::{MachineConfig, SimResult, Simulator};
+use dda::mem::FunctionalWarmup;
+use dda::vm::Vm;
 use dda::workloads::Benchmark;
 
 const BUDGET: u64 = 40_000;
@@ -85,6 +87,63 @@ fn incremental_kernel_matches_reference_kernel() {
             assert_eq!(
                 fast, reference,
                 "{bench}: incremental kernel diverged from the reference kernel"
+            );
+        }
+    }
+}
+
+/// The two entry points besides `run` that reach the kernels: a detailed
+/// window handed off from a functionally warmed, fast-forwarded VM (the
+/// sampling driver's flow; the warm-up mark drains the fast kernel's
+/// flat occupancy counters, the reference kernel keeps per-cycle
+/// histograms), and a traced run (per-instruction stage times through
+/// the one fetch buffer both kernels share).
+#[test]
+fn windowed_and_traced_runs_match_reference_kernel() {
+    const SKIP: u64 = 30_000;
+    const WARMUP: u64 = 5_000;
+    const WINDOW: u64 = 15_000;
+    let base = MachineConfig::iscapaper_base();
+    let optimized = MachineConfig::n_plus_m(4, 2).with_optimizations();
+    for bench in [Benchmark::Compress, Benchmark::Li, Benchmark::Vortex] {
+        let program = bench.program(u32::MAX / 2);
+        for cfg in [&base, &optimized] {
+            let mut warm = FunctionalWarmup::new(&cfg.hierarchy);
+            let mut vm = Vm::new(program.clone());
+            vm.fast_forward_observed(SKIP, |d| {
+                if let Some(m) = &d.mem {
+                    warm.touch(m.addr, m.is_store, m.is_local());
+                }
+            })
+            .expect("fast-forward executes cleanly");
+            let tags = warm.tags();
+            let kernels = [false, true].map(|reference| {
+                let mut c = cfg.clone();
+                c.reference_kernel = reference;
+                Simulator::new(c).unwrap()
+            });
+            let [fast, reference] = kernels.each_ref().map(|sim| {
+                sim.run_window(vm.clone(), Some(&tags), WARMUP, WINDOW)
+                    .expect("window executes cleanly")
+            });
+            assert!(fast.window.committed > 0, "{bench}: empty window");
+            assert_eq!(
+                fast.total, reference.total,
+                "{bench}: windowed run diverged from the reference kernel"
+            );
+            assert_eq!(
+                fast.window, reference.window,
+                "{bench}: measured window diverged from the reference kernel"
+            );
+            let [fast, reference] = kernels.each_ref().map(|sim| {
+                sim.run_traced(&program, 4_000, 4_000)
+                    .expect("traced run executes cleanly")
+            });
+            assert_eq!(fast.0, reference.0, "{bench}: traced run diverged");
+            assert_eq!(fast.1.len(), 4_000, "{bench}: trace cut short");
+            assert_eq!(
+                fast.1, reference.1,
+                "{bench}: instruction traces diverged from the reference kernel"
             );
         }
     }
