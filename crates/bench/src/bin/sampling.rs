@@ -5,8 +5,9 @@
 //!
 //! 1. **validates** the sampling estimator: a full detailed run at
 //!    `--budget` instructions is compared against
-//!    [`dda_bench::sample_program`] with the same budget, and the full
-//!    run's CPI must fall inside the sampled confidence interval;
+//!    [`dda_bench::sample_program_adaptive`] with the same budget, and
+//!    the full run's CPI must fall inside the sampled confidence
+//!    interval;
 //! 2. **times** the payoff: at `--speed-budget` (default 3 M
 //!    instructions, ten times the pipeline budget) the sampled run must
 //!    be at least 5× faster in wall-clock time than full detail,

@@ -643,9 +643,10 @@ pub fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dda_core::{Trap, TrapKind};
+    use dda_core::Trap;
     use dda_isa::{Gpr, Instr};
     use dda_program::{FunctionBuilder, ProgramBuilder};
+    use dda_vm::VmError;
 
     fn machine() -> MachineConfig {
         MachineConfig::n_plus_m(4, 2)
@@ -691,7 +692,7 @@ mod tests {
 
     #[test]
     fn error_keys_normalize_structurally() {
-        let kind = TrapKind::Misaligned {
+        let kind = VmError::Misaligned {
             pc: 4,
             addr: 0x1000_0002,
             bytes: 4,

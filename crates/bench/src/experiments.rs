@@ -288,36 +288,40 @@ pub fn fig6_lvc_size() -> Table {
     t.title("Figure 6: LVC miss rate vs capacity (direct-mapped, 32 B lines)");
     t.numeric();
     for b in Benchmark::ALL {
-        let program = b.program(u32::MAX / 2);
-        let mut vm = Vm::new(program);
-        let mut caches: Vec<CacheCore> = sizes
-            .iter()
-            .map(|&s| CacheCore::new(&CacheConfig::lvc_2k().with_size(s)))
-            .collect();
-        let mut locals = 0u64;
-        crate::drain_stream(&mut vm, profile_budget(), |d| {
-            if let Some(m) = d.mem {
-                if m.is_local() {
-                    locals += 1;
-                    for c in &mut caches {
-                        if !c.access(m.addr, m.is_store) {
-                            c.fill(m.addr, m.is_store);
-                        }
-                    }
-                }
-            }
-        })
-        .expect("benchmark executes cleanly");
+        let cfgs = sizes.map(|s| CacheConfig::lvc_2k().with_size(s));
+        let (miss_rates, locals) = lvc_miss_rates(b, &cfgs);
         let mut row = vec![b.name().to_string()];
-        row.extend(
-            caches
-                .iter()
-                .map(|c| format!("{:.2}%", 100.0 * c.stats().miss_rate())),
-        );
+        row.extend(miss_rates);
         row.push(locals.to_string());
         t.row(row);
     }
     t
+}
+
+/// The LVC content model shared by Fig. 6 and the line-size aside: replays
+/// `b`'s local-access stream (the first [`profile_budget`] instructions)
+/// against one tag array per configuration, filling on every miss. Returns
+/// each array's formatted miss rate and the number of local references.
+fn lvc_miss_rates(b: Benchmark, cfgs: &[CacheConfig]) -> (Vec<String>, u64) {
+    let mut vm = Vm::new(b.program(u32::MAX / 2));
+    let mut caches: Vec<CacheCore> = cfgs.iter().map(CacheCore::new).collect();
+    let mut locals = 0u64;
+    crate::drain_stream(&mut vm, profile_budget(), |d| {
+        if let Some(m) = d.mem.filter(|m| m.is_local()) {
+            locals += 1;
+            for c in &mut caches {
+                if !c.access(m.addr, m.is_store) {
+                    c.fill(m.addr, m.is_store);
+                }
+            }
+        }
+    })
+    .expect("benchmark executes cleanly");
+    let miss_rates = caches
+        .iter()
+        .map(|c| format!("{:.2}%", 100.0 * c.stats().miss_rate()))
+        .collect();
+    (miss_rates, locals)
 }
 
 fn nm_grid(optimized: bool) -> (Vec<(u32, u32)>, Vec<MachineConfig>) {
@@ -732,38 +736,19 @@ pub fn lvc_line_size() -> Table {
     let mut t = Table::new(headers);
     t.title("§4.2.1: LVC miss rate vs line size (direct-mapped)");
     t.numeric();
-    for b in Benchmark::INTEGER {
-        let program = b.program(u32::MAX / 2);
-        let mut vm = Vm::new(program);
-        let mut caches: Vec<CacheCore> = sizes
-            .iter()
-            .flat_map(|&s| {
-                lines.iter().map(move |&l| {
-                    let mut c = CacheConfig::lvc_2k().with_size(s);
-                    c.line_bytes = l;
-                    c
-                })
+    let cfgs: Vec<CacheConfig> = sizes
+        .iter()
+        .flat_map(|&s| {
+            lines.iter().map(move |&l| {
+                let mut c = CacheConfig::lvc_2k().with_size(s);
+                c.line_bytes = l;
+                c
             })
-            .map(|c| CacheCore::new(&c))
-            .collect();
-        crate::drain_stream(&mut vm, profile_budget(), |d| {
-            if let Some(m) = d.mem {
-                if m.is_local() {
-                    for c in &mut caches {
-                        if !c.access(m.addr, m.is_store) {
-                            c.fill(m.addr, m.is_store);
-                        }
-                    }
-                }
-            }
         })
-        .expect("benchmark executes cleanly");
+        .collect();
+    for b in Benchmark::INTEGER {
         let mut row = vec![b.name().to_string()];
-        row.extend(
-            caches
-                .iter()
-                .map(|c| format!("{:.2}%", 100.0 * c.stats().miss_rate())),
-        );
+        row.extend(lvc_miss_rates(b, &cfgs).0);
         t.row(row);
     }
     t

@@ -143,11 +143,6 @@ impl SamplingConfig {
             max_windows: 64,
         }
     }
-
-    /// Detailed instructions simulated per window (warm-up + measured).
-    pub fn detailed_per_window(&self) -> u64 {
-        self.warmup_insts.saturating_add(self.window_insts)
-    }
 }
 
 /// One measured window of a sampled run.
@@ -235,13 +230,6 @@ pub struct SampledRun {
     pub host_secs: f64,
 }
 
-impl SampledRun {
-    /// Extrapolated cycle count for a full `budget`-instruction run.
-    pub fn extrapolated_cycles(&self, budget: u64) -> f64 {
-        self.cpi.mean * budget as f64
-    }
-}
-
 fn lvc_hit_rate(w: &WindowRun) -> f64 {
     match &w.window.lvc {
         Some(l) if l.accesses() > 0 => l.hits as f64 / l.accesses() as f64,
@@ -311,36 +299,14 @@ pub fn sample_program_stored(
     let mut ff_insts = 0u64;
     for i in 0..k {
         let start = i * spacing;
-        // A stored checkpoint replaces the functional replay to `start`;
-        // restoration teleports the *master*, so later windows keep
-        // fast-forwarding from here (and the warmup model follows via the
-        // checkpoint's serialized tags).
-        let restored = store.and_then(|s| load_state(s, &key_at(start), &program, warm.is_some()));
-        let tags = match restored {
-            Some((r, restored_tags)) => {
-                vm = r;
-                if let (Some(w), Some(t)) = (&mut warm, &restored_tags) {
-                    // Later fast-forwards continue warming from the
-                    // checkpointed tag state, exactly as if the skipped
-                    // prefix had been replayed.
-                    w.adopt(t);
-                }
-                restored_tags
-            }
-            None => {
-                position(&mut vm, start, warm.as_mut(), &mut ff_insts)?;
-                if vm.is_halted() {
-                    break;
-                }
-                let tags = warm.as_ref().map(|w| w.tags());
-                if let Some(s) = store {
-                    let mut ck = vm.checkpoint(phash, chash);
-                    ck.cache_tags = tags.as_ref().map(|t| t.to_bytes());
-                    let _ = s.save(&ck); // best effort
-                }
-                tags
-            }
-        };
+        let tags = restore_or_position(
+            &mut vm,
+            &mut warm,
+            &mut ff_insts,
+            store,
+            &program,
+            key_at(start),
+        )?;
         if vm.is_halted() {
             break;
         }
@@ -364,17 +330,14 @@ pub fn sample_program_stored(
     // Cover the tail so `halted_early` reflects the whole budget, not
     // just the last window start.
     if !vm.is_halted() && scfg.budget > vm.instructions_executed() {
-        match store.and_then(|s| load_state(s, &key_at(scfg.budget), &program, warm.is_some())) {
-            Some((restored, _)) => vm = restored,
-            None => {
-                position(&mut vm, scfg.budget, warm.as_mut(), &mut ff_insts)?;
-                if let (Some(s), false) = (store, vm.is_halted()) {
-                    let mut ck = vm.checkpoint(phash, chash);
-                    ck.cache_tags = warm.as_ref().map(|w| w.tags().to_bytes());
-                    let _ = s.save(&ck);
-                }
-            }
-        }
+        restore_or_position(
+            &mut vm,
+            &mut warm,
+            &mut ff_insts,
+            store,
+            &program,
+            key_at(scfg.budget),
+        )?;
     }
     let conf = scfg.confidence;
     let collect = |f: fn(&WindowSample) -> f64| -> Vec<f64> { windows.iter().map(f).collect() };
@@ -456,6 +419,43 @@ fn fast_forward_warming(
     }
 }
 
+/// Brings the master to `key.inst_index` and returns the warm tags there
+/// (`None` without warming, or when the program halted first).
+///
+/// A stored checkpoint replaces the functional replay: restoration
+/// teleports the *master*, so later windows keep fast-forwarding from
+/// here, and the warmup model adopts the checkpoint's tags exactly as if
+/// the skipped prefix had been replayed. On a miss the master is
+/// fast-forwarded and, unless it halted, checkpointed (best effort).
+fn restore_or_position(
+    vm: &mut Vm,
+    warm: &mut Option<FunctionalWarmup>,
+    ff_insts: &mut u64,
+    store: Option<&CheckpointStore>,
+    program: &Arc<Program>,
+    key: CheckpointKey,
+) -> Result<Option<HierarchyTags>, SimError> {
+    if let Some((restored, tags)) = store.and_then(|s| load_state(s, &key, program, warm.is_some()))
+    {
+        *vm = restored;
+        if let (Some(w), Some(t)) = (warm.as_mut(), &tags) {
+            w.adopt(t);
+        }
+        return Ok(tags);
+    }
+    position(vm, key.inst_index, warm.as_mut(), ff_insts)?;
+    if vm.is_halted() {
+        return Ok(None);
+    }
+    let tags = warm.as_ref().map(|w| w.tags());
+    if let Some(s) = store {
+        let mut ck = vm.checkpoint(key.program_hash, key.config_hash);
+        ck.cache_tags = tags.as_ref().map(|t| t.to_bytes());
+        let _ = s.save(&ck);
+    }
+    Ok(tags)
+}
+
 /// Fast-forwards the master to the absolute instruction index `target`
 /// (no-op when already there or past), accumulating the replayed count.
 fn position(
@@ -497,7 +497,7 @@ fn load_state(
 /// unknowable without detail, reported as 0).
 fn trap_at(vm: &Vm, e: dda_vm::VmError) -> SimError {
     SimError::Trap(dda_core::Trap {
-        kind: dda_core::TrapKind::from(e),
+        kind: e,
         cycle: 0,
         committed: vm.instructions_executed(),
     })

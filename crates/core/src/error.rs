@@ -78,108 +78,13 @@ impl From<HierarchyConfigError> for ConfigError {
     }
 }
 
-/// What kind of guest-visible fault a workload raised.
-///
-/// These mirror [`VmError`] one-to-one: the functional machine is the
-/// authority on architectural faults, and the pipeline wraps them with
-/// timing context into a [`Trap`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TrapKind {
-    /// The pc fell off the end of the program image.
-    PcOutOfRange {
-        /// The faulting pc.
-        pc: u32,
-    },
-    /// A load or store address was not aligned to the access size.
-    Misaligned {
-        /// The pc of the access.
-        pc: u32,
-        /// The effective address.
-        addr: u32,
-        /// The access size in bytes.
-        bytes: u32,
-    },
-    /// A load or store touched an address outside every mapped region.
-    Unmapped {
-        /// The pc of the access.
-        pc: u32,
-        /// The effective address.
-        addr: u32,
-    },
-    /// A frame layout ran past the stack region.
-    StackOverflow {
-        /// The pc of the access.
-        pc: u32,
-        /// The effective address.
-        addr: u32,
-        /// The lowest legal stack address.
-        limit: u32,
-    },
-    /// A taken control transfer targeted a pc outside the program image
-    /// — fetching there would decode garbage (an illegal instruction).
-    IllegalInstruction {
-        /// The pc of the control transfer.
-        pc: u32,
-        /// The out-of-image target.
-        target: u32,
-    },
-    /// `Ret` executed with no outstanding call.
-    ReturnWithoutCall {
-        /// The pc of the return.
-        pc: u32,
-    },
-}
-
-impl From<VmError> for TrapKind {
-    fn from(e: VmError) -> TrapKind {
-        match e {
-            VmError::PcOutOfRange { pc } => TrapKind::PcOutOfRange { pc },
-            VmError::Misaligned { pc, addr, bytes } => TrapKind::Misaligned { pc, addr, bytes },
-            VmError::OutOfRegion { pc, addr } => TrapKind::Unmapped { pc, addr },
-            VmError::StackOverflow { pc, addr, limit } => {
-                TrapKind::StackOverflow { pc, addr, limit }
-            }
-            VmError::IllegalTarget { pc, target } => TrapKind::IllegalInstruction { pc, target },
-            VmError::ReturnWithoutCall { pc } => TrapKind::ReturnWithoutCall { pc },
-        }
-    }
-}
-
-impl fmt::Display for TrapKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            TrapKind::PcOutOfRange { pc } => write!(f, "pc {pc} left the program image"),
-            TrapKind::Misaligned { pc, addr, bytes } => {
-                write!(f, "misaligned {bytes}-byte access to {addr:#x} at pc {pc}")
-            }
-            TrapKind::Unmapped { pc, addr } => {
-                write!(f, "access to unmapped address {addr:#x} at pc {pc}")
-            }
-            TrapKind::StackOverflow { pc, addr, limit } => {
-                write!(
-                    f,
-                    "stack overflow: access to {addr:#x} past limit {limit:#x} at pc {pc}"
-                )
-            }
-            TrapKind::IllegalInstruction { pc, target } => {
-                write!(
-                    f,
-                    "illegal instruction: control transfer to pc {target} at pc {pc}"
-                )
-            }
-            TrapKind::ReturnWithoutCall { pc } => {
-                write!(f, "return without a matching call at pc {pc}")
-            }
-        }
-    }
-}
-
 /// A guest-visible fault, with the timing context at which the front-end
 /// saw it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Trap {
-    /// What faulted.
-    pub kind: TrapKind,
+    /// What faulted: the functional machine is the authority on
+    /// architectural faults, so this is the [`VmError`] it raised.
+    pub kind: VmError,
     /// The cycle at which the fault reached the pipeline (dispatch).
     pub cycle: u64,
     /// Instructions committed before the fault.
@@ -272,53 +177,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn vm_errors_map_to_trap_kinds() {
-        assert_eq!(
-            TrapKind::from(VmError::PcOutOfRange { pc: 7 }),
-            TrapKind::PcOutOfRange { pc: 7 }
-        );
-        assert_eq!(
-            TrapKind::from(VmError::Misaligned {
-                pc: 1,
-                addr: 3,
-                bytes: 4
-            }),
-            TrapKind::Misaligned {
-                pc: 1,
-                addr: 3,
-                bytes: 4
-            }
-        );
-        assert_eq!(
-            TrapKind::from(VmError::OutOfRegion { pc: 1, addr: 0x40 }),
-            TrapKind::Unmapped { pc: 1, addr: 0x40 }
-        );
-        assert_eq!(
-            TrapKind::from(VmError::StackOverflow {
-                pc: 2,
-                addr: 8,
-                limit: 16
-            }),
-            TrapKind::StackOverflow {
-                pc: 2,
-                addr: 8,
-                limit: 16
-            }
-        );
-        assert_eq!(
-            TrapKind::from(VmError::IllegalTarget { pc: 2, target: 999 }),
-            TrapKind::IllegalInstruction { pc: 2, target: 999 }
-        );
-        assert_eq!(
-            TrapKind::from(VmError::ReturnWithoutCall { pc: 0 }),
-            TrapKind::ReturnWithoutCall { pc: 0 }
-        );
-    }
-
-    #[test]
     fn displays_are_informative() {
         let t = Trap {
-            kind: TrapKind::Unmapped { pc: 3, addr: 0x40 },
+            kind: VmError::OutOfRegion { pc: 3, addr: 0x40 },
             cycle: 17,
             committed: 2,
         };

@@ -67,9 +67,13 @@ mod trace;
 pub use classify::{is_sp_based, Classifier, RegionPredictor, Steer, SteerPolicy};
 pub use config::{DecouplingConfig, MachineConfig};
 pub use diag::{DiagnosticDump, HeadMemSnapshot, HeadSnapshot, RETIRED_PC_WINDOW};
-pub use error::{ConfigError, InvariantViolation, SimError, Trap, TrapKind};
+pub use error::{ConfigError, InvariantViolation, SimError, Trap};
 pub use fault::{FaultPlan, FaultStats};
 pub use fu::FuPools;
 pub use pipeline::Simulator;
 pub use result::{QueueStats, SimResult, WindowRun};
 pub use trace::{InstrTrace, MemPath};
+
+/// The former name of [`Trap::kind`]'s type, kept for callers written
+/// against it (perfbench's sampled workload).
+pub use dda_vm::VmError as TrapKind;

@@ -32,7 +32,7 @@ use crate::classify::Classifier;
 use crate::config::{FuCounts, MachineConfig};
 use crate::diag::{DiagnosticDump, HeadMemSnapshot, HeadSnapshot, RetiredPcRing};
 use crate::entry::{DepKind, Dependent, MemState, Rob, RobEntry};
-use crate::error::{InvariantViolation, SimError, Trap, TrapKind};
+use crate::error::{InvariantViolation, SimError, Trap};
 use crate::fault::FaultState;
 use crate::fu::FuPools;
 use crate::queue::MemQueue;
@@ -626,7 +626,7 @@ impl<'c> Core<'c> {
     /// which the front-end saw it.
     fn trap(&self, e: VmError) -> SimError {
         SimError::Trap(Trap {
-            kind: TrapKind::from(e),
+            kind: e,
             cycle: self.cycle,
             committed: self.res.committed,
         })

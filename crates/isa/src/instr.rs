@@ -26,15 +26,6 @@ impl MemWidth {
             MemWidth::Word => 4,
         }
     }
-
-    pub(crate) fn from_code(code: u8) -> Option<MemWidth> {
-        match code {
-            0 => Some(MemWidth::Byte),
-            1 => Some(MemWidth::Half),
-            2 => Some(MemWidth::Word),
-            _ => None,
-        }
-    }
 }
 
 /// The compiler's memory-stream classification attached to each load/store.
@@ -55,17 +46,6 @@ pub enum StreamHint {
     Local,
     /// A heap/global/static access: steer to the LSQ/L1 data cache.
     NonLocal,
-}
-
-impl StreamHint {
-    pub(crate) fn from_code(code: u8) -> Option<StreamHint> {
-        match code {
-            0 => Some(StreamHint::Unknown),
-            1 => Some(StreamHint::Local),
-            2 => Some(StreamHint::NonLocal),
-            _ => None,
-        }
-    }
 }
 
 /// A machine instruction.
@@ -286,19 +266,6 @@ impl Instr {
         }
     }
 
-    /// Returns a copy with the stream hint replaced (loads/stores only;
-    /// other instructions are returned unchanged).
-    pub fn with_hint(mut self, new: StreamHint) -> Instr {
-        match &mut self {
-            Instr::Load { hint, .. }
-            | Instr::Store { hint, .. }
-            | Instr::FLoad { hint, .. }
-            | Instr::FStore { hint, .. } => *hint = new,
-            _ => {}
-        }
-        self
-    }
-
     /// The functional-unit class that executes this instruction.
     pub fn fu_class(&self) -> FuClass {
         match self {
@@ -420,14 +387,6 @@ mod tests {
         };
         assert_eq!(f.mem_operand(), Some((Gpr::SP, 16, 8, StreamHint::Local)));
         assert_eq!(f.fu_class(), FuClass::MemRead);
-    }
-
-    #[test]
-    fn with_hint_rewrites_loads_only() {
-        let l = lw(Gpr::T0, Gpr::SP, 4).with_hint(StreamHint::Local);
-        assert_eq!(l.mem_operand().unwrap().3, StreamHint::Local);
-        let n = Instr::Nop.with_hint(StreamHint::Local);
-        assert_eq!(n, Instr::Nop);
     }
 
     #[test]

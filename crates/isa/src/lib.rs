@@ -14,9 +14,9 @@
 //! * direct calls/returns so the run-time stack discipline of the paper's
 //!   workloads (prologue/epilogue register save/restore, argument passing,
 //!   spill code) can be expressed faithfully;
-//! * a dense 64-bit binary encoding with exact round-tripping
-//!   ([`Instr::encode`] / [`Instr::decode`]) and a MIPS-like disassembly
-//!   via [`core::fmt::Display`].
+//! * a MIPS-like disassembly via [`core::fmt::Display`]. Programs have no
+//!   binary encoding: they persist as assembly text (`dda_program`'s
+//!   `Program::to_asm` and its assembler).
 //!
 //! Program counters are in *instruction units*: `pc + 1` is the next
 //! instruction. Data addresses are 32-bit byte addresses.
@@ -32,18 +32,15 @@
 //!     hint: StreamHint::Local,
 //! };
 //! assert!(ld.is_load());
-//! assert_eq!(Instr::decode(ld.encode()).unwrap(), ld);
 //! assert_eq!(ld.to_string(), "lw    $t0, 8($sp) !local");
 //! ```
 
 mod disasm;
-mod encode;
 mod instr;
 mod latency;
 mod op;
 mod regs;
 
-pub use encode::DecodeError;
 pub use instr::{Instr, MemWidth, StreamHint};
 pub use latency::{FuClass, LatencyTable};
 pub use op::{AluOp, BranchCond, FpCond, FpuOp};

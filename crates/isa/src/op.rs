@@ -112,10 +112,6 @@ impl AluOp {
             AluOp::Sltu => "sltu",
         }
     }
-
-    pub(crate) fn from_code(code: u8) -> Option<AluOp> {
-        Self::ALL.get(code as usize).copied()
-    }
 }
 
 impl fmt::Display for AluOp {
@@ -192,10 +188,6 @@ impl FpuOp {
             FpuOp::Sqrt => "sqrt.d",
         }
     }
-
-    pub(crate) fn from_code(code: u8) -> Option<FpuOp> {
-        Self::ALL.get(code as usize).copied()
-    }
 }
 
 impl fmt::Display for FpuOp {
@@ -269,10 +261,6 @@ impl BranchCond {
             BranchCond::Gt => "bgt",
         }
     }
-
-    pub(crate) fn from_code(code: u8) -> Option<BranchCond> {
-        Self::ALL.get(code as usize).copied()
-    }
 }
 
 impl fmt::Display for BranchCond {
@@ -315,10 +303,6 @@ impl FpCond {
             FpCond::Lt => "c.lt.d",
             FpCond::Le => "c.le.d",
         }
-    }
-
-    pub(crate) fn from_code(code: u8) -> Option<FpCond> {
-        Self::ALL.get(code as usize).copied()
     }
 }
 
@@ -402,22 +386,5 @@ mod tests {
         }
         assert!(FpCond::Le.eval(1.0, 1.0));
         assert!(!FpCond::Lt.eval(1.0, 1.0));
-    }
-
-    #[test]
-    fn op_code_round_trips() {
-        for (i, op) in AluOp::ALL.iter().enumerate() {
-            assert_eq!(AluOp::from_code(i as u8), Some(*op));
-        }
-        assert_eq!(AluOp::from_code(200), None);
-        for (i, op) in FpuOp::ALL.iter().enumerate() {
-            assert_eq!(FpuOp::from_code(i as u8), Some(*op));
-        }
-        for (i, op) in BranchCond::ALL.iter().enumerate() {
-            assert_eq!(BranchCond::from_code(i as u8), Some(*op));
-        }
-        for (i, op) in FpCond::ALL.iter().enumerate() {
-            assert_eq!(FpCond::from_code(i as u8), Some(*op));
-        }
     }
 }

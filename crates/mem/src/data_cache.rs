@@ -260,11 +260,6 @@ impl DataCache {
     pub fn writebacks(&self) -> u64 {
         self.core.stats().writebacks
     }
-
-    /// Outstanding misses right now (for occupancy introspection).
-    pub fn outstanding_misses(&self) -> usize {
-        self.mshrs.outstanding()
-    }
 }
 
 #[cfg(test)]

@@ -68,18 +68,6 @@ impl PortMeter {
             false
         }
     }
-
-    /// Claims `n` ports at once (an access-combined transaction still uses
-    /// one port, but wide transfers may be modelled as multi-port).
-    pub fn try_claim_n(&mut self, cycle: u64, n: u32) -> bool {
-        self.roll(cycle);
-        if self.used + n <= self.ports {
-            self.used += n;
-            true
-        } else {
-            false
-        }
-    }
 }
 
 #[cfg(test)]
@@ -103,14 +91,6 @@ mod tests {
         assert!(!p.try_claim(0));
         assert!(p.try_claim(1));
         assert!(p.try_claim(5));
-    }
-
-    #[test]
-    fn claim_n() {
-        let mut p = PortMeter::new(3);
-        assert!(p.try_claim_n(0, 2));
-        assert!(!p.try_claim_n(0, 2));
-        assert!(p.try_claim_n(0, 1));
     }
 
     #[test]

@@ -204,40 +204,6 @@ impl Program {
         }
         leaders
     }
-
-    /// Counts of static loads and stores, split by stream hint — used to
-    /// sanity-check generated workloads.
-    pub fn static_mem_mix(&self) -> StaticMemMix {
-        let mut mix = StaticMemMix::default();
-        for i in &self.instrs {
-            use dda_isa::StreamHint;
-            if let Some((_, _, _, hint)) = i.mem_operand() {
-                let (total, local) = if i.is_load() {
-                    (&mut mix.loads, &mut mix.local_loads)
-                } else {
-                    (&mut mix.stores, &mut mix.local_stores)
-                };
-                *total += 1;
-                if hint == StreamHint::Local {
-                    *local += 1;
-                }
-            }
-        }
-        mix
-    }
-}
-
-/// Static instruction-mix summary (see [`Program::static_mem_mix`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct StaticMemMix {
-    /// Static load instructions.
-    pub loads: usize,
-    /// Static loads hinted local.
-    pub local_loads: usize,
-    /// Static store instructions.
-    pub stores: usize,
-    /// Static stores hinted local.
-    pub local_stores: usize,
 }
 
 #[cfg(test)]
@@ -287,15 +253,6 @@ mod tests {
         // main has frame 0, f has frame 16 bytes = 4 words.
         assert_eq!(p.functions()[1].frame_words(), 4);
         assert!((p.mean_static_frame_words() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn static_mem_mix_counts_hints() {
-        let p = two_function_program();
-        let mix = p.static_mem_mix();
-        assert_eq!(mix.stores, 1);
-        assert_eq!(mix.local_stores, 1);
-        assert_eq!(mix.loads, 0);
     }
 
     #[test]

@@ -37,20 +37,6 @@ pub fn pct(num: u64, den: u64) -> String {
     }
 }
 
-/// Relative speedup of `new` over `base` as a signed percentage string.
-///
-/// ```
-/// assert_eq!(dda_stats::speedup_pct(1.1, 1.0), "+10.0%");
-/// assert_eq!(dda_stats::speedup_pct(0.95, 1.0), "-5.0%");
-/// ```
-pub fn speedup_pct(new: f64, base: f64) -> String {
-    if base == 0.0 {
-        return "—".to_string();
-    }
-    let s = 100.0 * (new / base - 1.0);
-    format!("{s:+.1}%")
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -58,12 +44,5 @@ mod tests {
         assert_eq!(super::pct(5, 0), "—");
         assert_eq!(super::pct(0, 10), "0.0%");
         assert_eq!(super::pct(10, 10), "100.0%");
-    }
-
-    #[test]
-    fn speedup_signs() {
-        assert_eq!(super::speedup_pct(2.0, 1.0), "+100.0%");
-        assert_eq!(super::speedup_pct(1.0, 2.0), "-50.0%");
-        assert_eq!(super::speedup_pct(1.0, 0.0), "—");
     }
 }

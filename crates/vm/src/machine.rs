@@ -285,11 +285,6 @@ impl Vm {
         &self.mem
     }
 
-    /// Mutable access to data memory (for test setup).
-    pub fn memory_mut(&mut self) -> &mut SparseMemory {
-        &mut self.mem
-    }
-
     fn check_access(&self, pc: u32, addr: u32, bytes: u32) -> Result<MemRegion, VmError> {
         if !addr.is_multiple_of(bytes) {
             return Err(VmError::Misaligned { pc, addr, bytes });

@@ -49,25 +49,6 @@ impl TCacheStats {
         }
     }
 
-    /// Mean dynamic instructions emitted per block execution.
-    pub fn mean_block_len(&self) -> f64 {
-        if self.blocks_replayed == 0 {
-            0.0
-        } else {
-            self.ops_replayed as f64 / self.blocks_replayed as f64
-        }
-    }
-
-    /// Fraction of successor resolutions served by an inline cache.
-    pub fn inline_hit_rate(&self) -> f64 {
-        let total = self.inline_hits + self.map_lookups;
-        if total == 0 {
-            0.0
-        } else {
-            self.inline_hits as f64 / total as f64
-        }
-    }
-
     /// Accumulates another machine's counters (for sweep-wide reporting).
     pub fn merge(&mut self, other: &TCacheStats) {
         self.blocks_decoded += other.blocks_decoded;

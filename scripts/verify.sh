@@ -15,12 +15,15 @@
 # paths so the committed BENCH_*.json files (full budgets) are not
 # clobbered by smoke numbers.
 #
-# The fuzz smoke runs a bounded differential campaign (200 generated
-# programs, fixed seed) through the fast-vs-reference oracle and fails
-# on any host panic or divergence; the corpus-replay step reruns every
-# minimized reproducer checked into tests/corpus/ through both kernels.
-# Both run in normal AND --quick modes — they are the cheapest
-# whole-machine bit-identity gates we have.
+# The fuzz smokes run two bounded differential campaigns (200 generated
+# programs each, fixed seed) through the fast-vs-reference oracle and
+# fail on any host panic or divergence: one clean, one with `--faults`
+# armed on both kernels (LVC line poisoning and dropped port grants;
+# grant handling is where the two kernels' code differs most). The
+# corpus-replay step reruns every minimized reproducer checked into
+# tests/corpus/ through both kernels. All three run in normal AND
+# --quick modes — they are the cheapest whole-machine bit-identity gates
+# we have.
 #
 # `--quick` skips the fault-campaign smoke; everything else runs in both
 # modes.
@@ -98,6 +101,13 @@ echo "== differential-fuzz smoke (200 programs, fixed seed)"
 cargo run --release -q -p dda-bench --bin fuzz -- \
     --quick --seed 3405695742 \
     --out target/BENCH_fuzz_smoke.json --corpus target/fuzz_corpus_smoke
+
+# The same campaign with the fault plan armed on both kernels (fault-RNG
+# draw order must match too). Runs in both modes.
+echo "== differential-fuzz smoke, faults armed (200 programs, fixed seed)"
+cargo run --release -q -p dda-bench --bin fuzz -- \
+    --quick --faults --seed 3405695742 \
+    --out target/BENCH_fuzz_faults_smoke.json --corpus target/fuzz_corpus_faults_smoke
 
 # Corpus replay: every checked-in minimized reproducer re-assembles and
 # reruns through both kernels (and planted-* entries must still

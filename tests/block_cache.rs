@@ -2,12 +2,13 @@
 //! (`Vm::step_block`) must be observationally identical to the interpretive
 //! front-end (`Vm::step`) — same `DynInst` stream, same final architectural
 //! state, same `VmError` at the same pc — across randomized programs,
-//! deliberate fault paths, stack-slot versioning, and fault-injected
+//! deliberate fault paths (whose pipeline runs must trap with that
+//! `VmError` on both kernels), stack-slot versioning, and fault-injected
 //! pipeline runs (RNG draw order).
 
 use std::sync::Arc;
 
-use dda::core::{FaultPlan, MachineConfig, Simulator};
+use dda::core::{FaultPlan, MachineConfig, SimError, Simulator};
 use dda::isa::{AluOp, Fpr, FpuOp, Gpr, MemWidth, StreamHint};
 use dda::program::{FunctionBuilder, Program, ProgramBuilder};
 use dda::stats::Rng;
@@ -337,7 +338,23 @@ fn randomized_faulting_programs_trap_identically() {
         assert_eq!(si, sb, "faulty seed {seed}: streams differ");
         assert_eq!(ei, eb, "faulty seed {seed}: VmError differs");
         assert_same_state(&format!("faulty seed {seed}"), &vi, &vb, &si);
-        assert!(ei.is_some(), "faulty seed {seed}: program did not trap");
+        let Some(ei) = ei else {
+            panic!("faulty seed {seed}: program did not trap");
+        };
+        // The pipeline reports the interpreter's fault, on either kernel.
+        let [fast, reference] = [false, true].map(|reference| {
+            let mut cfg = MachineConfig::n_plus_m(4, 2).with_optimizations();
+            cfg.reference_kernel = reference;
+            match Simulator::new(cfg)
+                .unwrap()
+                .run_shared(Arc::clone(&program), STEP_CAP)
+            {
+                Err(SimError::Trap(t)) => t,
+                other => panic!("faulty seed {seed}, reference {reference}: {other:?}"),
+            }
+        });
+        assert_eq!(fast, reference, "faulty seed {seed}: kernels' traps differ");
+        assert_eq!(fast.kind, ei, "faulty seed {seed}: trap is not the VmError");
         faulted += 1;
     }
     assert_eq!(faulted, 24, "every faulty program must trap");

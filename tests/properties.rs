@@ -119,15 +119,6 @@ fn arb_instr(rng: &mut Rng) -> Instr {
 }
 
 #[test]
-fn encode_decode_round_trips() {
-    let mut rng = Rng::seed_from_u64(0x1541);
-    for _ in 0..2_000 {
-        let instr = arb_instr(&mut rng);
-        assert_eq!(Instr::decode(instr.encode()), Ok(instr));
-    }
-}
-
-#[test]
 fn defs_and_uses_are_well_formed() {
     let mut rng = Rng::seed_from_u64(0x1542);
     for _ in 0..2_000 {
@@ -163,9 +154,8 @@ fn branch_negation_is_involutive() {
 #[test]
 fn fuzzed_programs_are_an_assembler_fixpoint() {
     // The full rendering chain on generator output: a fuzzed program's
-    // `to_asm()` re-assembles to the identical image, every instruction
-    // of that image survives encode -> decode -> disassemble -> re-parse,
-    // and a second rendering is byte-identical to the first (fixpoint).
+    // `to_asm()` re-assembles to the identical image, and a second
+    // rendering is byte-identical to the first (fixpoint).
     use dda::program::assemble;
     use dda::program::fuzz::{derive_seed, fuzz_program, FuzzWeights};
     for (pi, (name, w)) in FuzzWeights::presets().iter().enumerate() {
@@ -184,9 +174,6 @@ fn fuzzed_programs_are_an_assembler_fixpoint() {
                 q.to_asm(),
                 "{name} seed {seed:#x}: to_asm is not a fixpoint"
             );
-            for &i in p.instrs() {
-                assert_eq!(Instr::decode(i.encode()), Ok(i));
-            }
         }
     }
 }
