@@ -19,11 +19,14 @@
 //! ```
 //!
 //! `--quick` is the CI smoke mode (200 programs, smaller budget).
-//! `--faults` arms a mild fault plan on *both* kernels (fault-RNG draw
-//! order is part of the bit-identity contract, so faulted runs remain a
-//! valid oracle). `--plant-defect` arms the test-only planted kernel bug
-//! and *expects* the campaign to catch and minimize it — the end-to-end
-//! self-test of the oracle, the isolation, and the minimizer.
+//! `--faults` arms a mild plan of every fault kind on *both* kernels
+//! (fault-RNG draw order is part of the bit-identity contract, so faulted
+//! runs remain a valid oracle); the report counts each kind's injections
+//! in the fast kernel's completed runs and lists, under `faults_silent`,
+//! every armed kind that never fired. `--plant-defect` arms the test-only
+//! planted kernel bug and *expects* the campaign to catch and minimize it
+//! — the end-to-end self-test of the oracle, the isolation, and the
+//! minimizer.
 //!
 //! Exit status: 0 for a clean campaign (and, under `--plant-defect`, a
 //! caught + fully minimized defect); 1 otherwise.
@@ -33,7 +36,7 @@ use std::fmt::Write as _;
 use dda_bench::campaign::{
     corpus_entry_source, json_escape, run_campaign, CampaignConfig, CampaignReport,
 };
-use dda_core::FaultPlan;
+use dda_core::{FaultPlan, FaultStats};
 use dda_vm::{EDGE_BUCKETS, OP_CLASS_COUNT};
 
 fn usage(msg: &str) -> ! {
@@ -96,6 +99,21 @@ fn parse_args() -> Args {
     a
 }
 
+/// Each fault kind as `(plan field, armed rate, injections)`.
+fn fault_kinds(plan: &FaultPlan, f: &FaultStats) -> [(&'static str, f64, u64); 5] {
+    [
+        ("flip_l1_line", plan.flip_l1_line, f.l1_flips_injected),
+        ("flip_lvc_line", plan.flip_lvc_line, f.lvc_flips_injected),
+        ("drop_port_grant", plan.drop_port_grant, f.grants_dropped),
+        ("delay_port_grant", plan.delay_port_grant, f.grants_delayed),
+        (
+            "corrupt_forward",
+            plan.corrupt_forward,
+            f.forwards_corrupted,
+        ),
+    ]
+}
+
 fn report_json(
     a: &Args,
     cc: &CampaignConfig,
@@ -134,6 +152,22 @@ fn report_json(
         r.coverage.edge_buckets_seen(),
         EDGE_BUCKETS,
         r.coverage.observed()
+    );
+    let kinds = fault_kinds(&cc.fault_plan.unwrap_or_else(FaultPlan::none), &r.faults);
+    let injected: Vec<String> = kinds
+        .iter()
+        .map(|(name, _, n)| format!("\"{name}\": {n}"))
+        .collect();
+    let silent: Vec<String> = kinds
+        .iter()
+        .filter(|(_, rate, n)| *rate > 0.0 && *n == 0)
+        .map(|(name, _, _)| format!("\"{name}\""))
+        .collect();
+    let _ = writeln!(
+        json,
+        "  \"faults_injected\": {{{}}},\n  \"faults_silent\": [{}],",
+        injected.join(", "),
+        silent.join(", ")
     );
     json.push_str("  \"divergences\": [\n");
     let rows: Vec<String> = r
@@ -195,11 +229,15 @@ fn main() {
     cc.workers = a.workers;
     cc.plant_defect = a.plant_defect;
     if a.faults {
-        // Mild, recoverable fault mix; the wedge-everything classes live
-        // in the dedicated faults campaign.
+        // A mild, recoverable mix of every kind; the wedge-everything
+        // rates live in the dedicated faults campaign.
         cc.fault_plan = Some(FaultPlan {
+            flip_l1_line: 0.02,
             flip_lvc_line: 0.01,
             drop_port_grant: 0.02,
+            delay_port_grant: 0.02,
+            delay_cycles: 3,
+            corrupt_forward: 0.01,
             ..FaultPlan::none()
         });
     }
@@ -242,6 +280,14 @@ fn main() {
         r.coverage.edge_buckets_seen(),
         r.coverage.observed()
     );
+    if let Some(plan) = &cc.fault_plan {
+        let kinds: Vec<String> = fault_kinds(plan, &r.faults)
+            .iter()
+            .filter(|(_, rate, _)| *rate > 0.0)
+            .map(|(name, _, n)| format!("{n} {name}"))
+            .collect();
+        eprintln!("[fuzz] faults injected: {}", kinds.join(", "));
+    }
 
     // Write every minimized reproducer into the regression corpus.
     let mut corpus_files: Vec<String> = Vec::new();

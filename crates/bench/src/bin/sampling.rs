@@ -14,7 +14,10 @@
 //!    aggregated across all workloads.
 //!
 //! The report is written to `BENCH_sampling.json` and the process exits
-//! nonzero when either gate fails, so CI can run it directly.
+//! nonzero when either gate fails, so CI can run it directly. A sampled
+//! run uses up to two threads (each window runs behind the next
+//! fast-forward) while the full run uses one, so the report records
+//! `host_cpus` beside the speedup, and `kernel_version` beside the CPIs.
 //!
 //! Usage:
 //!
@@ -38,7 +41,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dda_bench::{sample_program_adaptive, CheckpointStore, Confidence, SampledRun, SamplingConfig};
+use dda_bench::{
+    sample_program_adaptive, CheckpointStore, Confidence, SampledRun, SamplingConfig,
+    KERNEL_VERSION,
+};
 use dda_core::{MachineConfig, Simulator};
 use dda_workloads::Benchmark;
 
@@ -147,10 +153,12 @@ fn main() {
     }
 
     let cfg = MachineConfig::n_plus_m(4, 2).with_optimizations();
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n");
     let _ = write!(
         json,
-        "  \"budget\": {budget},\n  \"speed_budget\": {speed_budget},\n  \"quick\": {quick},\n  \
+        "  \"kernel_version\": {KERNEL_VERSION},\n  \"host_cpus\": {host_cpus},\n  \
+         \"budget\": {budget},\n  \"speed_budget\": {speed_budget},\n  \"quick\": {quick},\n  \
          \"machine\": \"decoupled_4p2_opt\",\n  \
          \"sampling\": {{\"windows\": {}, \"window_insts\": {}, \"warmup_insts\": {}, \
          \"confidence_pct\": {}, \"functional_warmup\": {}}},\n",

@@ -34,7 +34,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dda_core::{FaultPlan, MachineConfig, SimError, SimResult, Simulator};
+use dda_core::{FaultPlan, FaultStats, MachineConfig, SimError, SimResult, Simulator};
 use dda_program::fuzz::{
     active_len, compact, derive_seed, fuzz_program, mutate, nop_range, FuzzWeights,
 };
@@ -393,6 +393,9 @@ pub struct CampaignReport {
     pub coverage: CoverageMap,
     /// Instructions committed by the fast kernel across all inputs.
     pub committed_total: u64,
+    /// The fast kernel's fault accounts summed over its completed runs
+    /// (all zero when no fault plan is armed).
+    pub faults: FaultStats,
     /// Wall-clock of the slowest single input (both kernel runs).
     pub slowest_input_ms: u128,
     /// Wall-clock of the whole campaign.
@@ -527,6 +530,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         divergences: Vec::new(),
         coverage: CoverageMap::new(),
         committed_total: 0,
+        faults: FaultStats::default(),
         slowest_input_ms: 0,
         elapsed_ms: 0,
     };
@@ -541,6 +545,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             Ok(res) => {
                 report.completed += 1;
                 report.committed_total += res.committed;
+                report.faults += &res.faults;
             }
             Err(SimError::Trap(_)) => report.trapped += 1,
             Err(SimError::Deadlock(_)) => report.deadlocked += 1,

@@ -17,7 +17,10 @@
 //! The windows run on *clones* of the master [`Vm`], so positioning is
 //! purely functional and a window never perturbs the stream — the same
 //! discipline lets a window start from a restored
-//! [`dda_vm::Checkpoint`] bit-identically (see `tests/`).
+//! [`dda_vm::Checkpoint`] bit-identically (see `tests/`). It also lets a
+//! window run on a scoped thread while the master fast-forwards to the
+//! next start, which leaves the functional fast-forward as the only
+//! serial work of a sampled run.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -242,14 +245,23 @@ fn lvc_hit_rate(w: &WindowRun) -> f64 {
 /// Windows start at `i * budget / windows` for `i` in `0..windows`; the
 /// master [`Vm`] is advanced purely functionally between starts (feeding
 /// the functional cache-warmup model when enabled) and each window runs
-/// on a clone via [`Simulator::run_window`]. Determinism: two calls with
-/// identical inputs produce identical `SampledRun`s (modulo `host_secs`).
+/// on a clone via [`Simulator::run_window`]. Each window runs on a scoped
+/// thread while the master fast-forwards to the next start, so a sampled
+/// run uses up to two threads, with at most one window in flight; results
+/// are taken in window order. Determinism: two calls with identical
+/// inputs produce identical `SampledRun`s (modulo `host_secs`), equal to
+/// running every window in turn on the calling thread.
 ///
 /// # Errors
 ///
 /// [`SimError`] as for [`Simulator::run`]; a functional fault during
 /// fast-forward surfaces as the [`SimError::Trap`] the detailed run
-/// would have raised.
+/// would have raised. When both a window and the fast-forward behind it
+/// fail, the window's error is returned: it comes first in run order.
+///
+/// # Panics
+///
+/// A panic inside a window is resumed on the calling thread.
 pub fn sample_program(
     cfg: &MachineConfig,
     program: Arc<Program>,
@@ -266,7 +278,19 @@ pub fn sample_program(
 /// changes wall-clock time. Store I/O failures degrade to the
 /// fast-forward path silently (the store is a cache, not a dependency).
 ///
+/// While window `i` runs on its scoped thread, the master only looks up
+/// the next position in the store and, on a miss, fast-forwards to it.
+/// Adopting a restored position, exporting tags, saving the checkpoint
+/// and spawning the next window all wait for window `i`'s join, so the
+/// store sees the same writes in the same order as a one-thread run, and
+/// a restore that run would not have reached (the window halted inside
+/// its warm-up) is never adopted.
+///
 /// # Errors
+///
+/// As for [`sample_program`].
+///
+/// # Panics
 ///
 /// As for [`sample_program`].
 pub fn sample_program_stored(
@@ -275,7 +299,7 @@ pub fn sample_program_stored(
     scfg: &SamplingConfig,
     store: Option<&CheckpointStore>,
 ) -> Result<SampledRun, SimError> {
-    let sim = Simulator::new(cfg.clone())?;
+    let sim = &Simulator::new(cfg.clone())?;
     let start_t = Instant::now();
     let k = scfg.windows.max(1) as u64;
     let spacing = (scfg.budget / k).max(1);
@@ -290,55 +314,80 @@ pub fn sample_program_stored(
         inst_index: inst,
         config_hash: chash,
     };
-    let mut vm = Vm::new(Arc::clone(&program));
-    let mut warm = scfg
-        .functional_warmup
-        .then(|| FunctionalWarmup::new(&cfg.hierarchy));
+    let mut master = Master {
+        vm: Vm::new(Arc::clone(&program)),
+        warm: scfg
+            .functional_warmup
+            .then(|| FunctionalWarmup::new(&cfg.hierarchy)),
+        ff_insts: 0,
+        store,
+        program: &program,
+    };
     let mut windows = Vec::with_capacity(scfg.windows);
     let mut detailed_insts = 0u64;
-    let mut ff_insts = 0u64;
-    for i in 0..k {
-        let start = i * spacing;
-        let tags = restore_or_position(
-            &mut vm,
-            &mut warm,
-            &mut ff_insts,
-            store,
-            &program,
-            key_at(start),
-        )?;
-        if vm.is_halted() {
-            break;
+    std::thread::scope(|s| -> Result<(), SimError> {
+        let mut tags = master.position(key_at(0))?;
+        for i in 0..k {
+            if master.vm.is_halted() {
+                return Ok(());
+            }
+            let here = master.vm.instructions_executed();
+            // The position one-thread order visits after this window if it
+            // measures something: the next start, or after the last window
+            // the budget tail (covered so `halted_early` reflects the whole
+            // budget, not just the last start).
+            let next = if i + 1 < k {
+                Some(key_at((i + 1) * spacing))
+            } else {
+                (scfg.budget > here).then(|| key_at(scfg.budget))
+            };
+            let vm_w = master.vm.clone();
+            let window = s.spawn(move || {
+                sim.run_window(vm_w, tags.as_ref(), scfg.warmup_insts, scfg.window_insts)
+            });
+            // While the window runs, the master approaches `next`. If the
+            // window measures nothing, one-thread order goes from `here` to
+            // the budget tail instead, so a start short of the tail is
+            // approached early only when such a window implies that the
+            // program halts before the budget; the tail's replay then
+            // passes that start and ends at the same halt. It does when the
+            // window spans at least one cycle's commits (the warm-up ends
+            // inside one commit group) and ends before the budget.
+            let ahead = next
+                .filter(|key| {
+                    key.inst_index == scfg.budget
+                        || (scfg.window_insts >= u64::from(cfg.commit_width)
+                            && here + scfg.warmup_insts + scfg.window_insts < scfg.budget)
+                })
+                .map(|key| (key, master.look_ahead(key)));
+            let run = window
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))?;
+            detailed_insts += run.total.committed;
+            if run.window.committed == 0 {
+                // Halted inside the warm-up prefix (or, for a window
+                // shorter than a commit group, ended with it).
+                return master.tail_from(here, ahead, key_at(scfg.budget));
+            }
+            windows.push(WindowSample {
+                start_inst: here,
+                committed: run.window.committed,
+                cycles: run.window.cycles,
+                cpi: run.window.cycles as f64 / run.window.committed as f64,
+                lvc_hit_rate: lvc_hit_rate(&run),
+                port_stalls_per_kinst: (run.window.lsq.port_stall_cycles
+                    + run.window.lvaq.port_stall_cycles)
+                    as f64
+                    / (run.window.committed as f64 / 1000.0),
+            });
+            tags = match (next, ahead) {
+                (_, Some((key, ahead))) => master.settle(key, ahead)?,
+                (Some(key), None) => master.position(key)?,
+                (None, None) => None,
+            };
         }
-        let vm_w = vm.clone();
-        let run = sim.run_window(vm_w, tags.as_ref(), scfg.warmup_insts, scfg.window_insts)?;
-        detailed_insts += run.total.committed;
-        if run.window.committed == 0 {
-            break; // halted inside the warm-up prefix
-        }
-        windows.push(WindowSample {
-            start_inst: vm.instructions_executed(),
-            committed: run.window.committed,
-            cycles: run.window.cycles,
-            cpi: run.window.cycles as f64 / run.window.committed as f64,
-            lvc_hit_rate: lvc_hit_rate(&run),
-            port_stalls_per_kinst: (run.window.lsq.port_stall_cycles
-                + run.window.lvaq.port_stall_cycles) as f64
-                / (run.window.committed as f64 / 1000.0),
-        });
-    }
-    // Cover the tail so `halted_early` reflects the whole budget, not
-    // just the last window start.
-    if !vm.is_halted() && scfg.budget > vm.instructions_executed() {
-        restore_or_position(
-            &mut vm,
-            &mut warm,
-            &mut ff_insts,
-            store,
-            &program,
-            key_at(scfg.budget),
-        )?;
-    }
+        Ok(())
+    })?;
     let conf = scfg.confidence;
     let collect = |f: fn(&WindowSample) -> f64| -> Vec<f64> { windows.iter().map(f).collect() };
     Ok(SampledRun {
@@ -346,9 +395,9 @@ pub fn sample_program_stored(
         lvc_hit_rate: Estimate::over(&collect(|w| w.lvc_hit_rate), conf),
         port_stalls_per_kinst: Estimate::over(&collect(|w| w.port_stalls_per_kinst), conf),
         windows,
-        fast_forwarded: ff_insts,
+        fast_forwarded: master.ff_insts,
         detailed_insts,
-        halted_early: vm.is_halted(),
+        halted_early: master.vm.is_halted(),
         host_secs: start_t.elapsed().as_secs_f64(),
     })
 }
@@ -400,96 +449,152 @@ pub fn sample_program_adaptive(
     }
 }
 
-/// Fast-forwards `vm` by `n` instructions, feeding every memory access to
-/// the warmup model when present.
-fn fast_forward_warming(
-    vm: &mut Vm,
-    n: u64,
-    warm: Option<&mut FunctionalWarmup>,
-) -> Result<(), dda_vm::VmError> {
-    match warm {
-        Some(w) => vm
-            .fast_forward_observed(n, |d| {
-                if let Some(m) = &d.mem {
-                    w.touch(m.addr, m.is_store, m.is_local());
-                }
-            })
-            .map(|_| ()),
-        None => vm.fast_forward(n).map(|_| ()),
-    }
+/// The machine that positions the windows: the master [`Vm`], its warmup
+/// model, the count of instructions it replayed, and the store it
+/// restores from and checkpoints into.
+struct Master<'a> {
+    vm: Vm,
+    warm: Option<FunctionalWarmup>,
+    ff_insts: u64,
+    store: Option<&'a CheckpointStore>,
+    program: &'a Arc<Program>,
 }
 
-/// Brings the master to `key.inst_index` and returns the warm tags there
-/// (`None` without warming, or when the program halted first).
-///
-/// A stored checkpoint replaces the functional replay: restoration
-/// teleports the *master*, so later windows keep fast-forwarding from
-/// here, and the warmup model adopts the checkpoint's tags exactly as if
-/// the skipped prefix had been replayed. On a miss the master is
-/// fast-forwarded and, unless it halted, checkpointed (best effort).
-fn restore_or_position(
-    vm: &mut Vm,
-    warm: &mut Option<FunctionalWarmup>,
-    ff_insts: &mut u64,
-    store: Option<&CheckpointStore>,
-    program: &Arc<Program>,
-    key: CheckpointKey,
-) -> Result<Option<HierarchyTags>, SimError> {
-    if let Some((restored, tags)) = store.and_then(|s| load_state(s, &key, program, warm.is_some()))
-    {
-        *vm = restored;
-        if let (Some(w), Some(t)) = (warm.as_mut(), &tags) {
-            w.adopt(t);
+/// The first half of bringing the master to a position — the half that
+/// may overlap a running window, because it writes no store and changes
+/// nothing a later step could not account for.
+enum Ahead {
+    /// The store held the position: the restored machine and its tags,
+    /// not yet adopted.
+    Stored(Box<Vm>, Option<HierarchyTags>),
+    /// The master replayed `ff` instructions toward the position; a trap
+    /// on the way is held until the replay is accounted for.
+    Forwarded { ff: u64, trap: Option<SimError> },
+}
+
+impl Master<'_> {
+    /// Brings the master to `key.inst_index` and returns the warm tags
+    /// there (`None` without warming, or when the program halted first).
+    ///
+    /// A stored checkpoint replaces the functional replay: restoration
+    /// teleports the *master*, so later windows keep fast-forwarding from
+    /// here, and the warmup model adopts the checkpoint's tags exactly as
+    /// if the skipped prefix had been replayed. On a miss the master is
+    /// fast-forwarded and, unless it halted, checkpointed (best effort).
+    fn position(&mut self, key: CheckpointKey) -> Result<Option<HierarchyTags>, SimError> {
+        let ahead = self.look_ahead(key);
+        self.settle(key, ahead)
+    }
+
+    /// Looks `key` up in the store and, on a miss, fast-forwards to it.
+    fn look_ahead(&mut self, key: CheckpointKey) -> Ahead {
+        self.stored(&key)
+            .unwrap_or_else(|| self.forward(key.inst_index, 0))
+    }
+
+    /// Loads and validates a stored position: the checkpoint must restore
+    /// against the program and its tag payload must match whether warming
+    /// is on. Any failure — no store, missing file, I/O error, corrupt
+    /// bytes, tag mismatch — degrades to `None` (a store miss).
+    fn stored(&self, key: &CheckpointKey) -> Option<Ahead> {
+        let ck = self.store?.load(key).ok().flatten()?;
+        let tags = tags_from_checkpoint(&ck).ok()?;
+        if self.warm.is_some() != tags.is_some() {
+            return None;
         }
-        return Ok(tags);
+        let vm = Vm::restore(Arc::clone(self.program), &ck).ok()?;
+        Some(Ahead::Stored(Box::new(vm), tags))
     }
-    position(vm, key.inst_index, warm.as_mut(), ff_insts)?;
-    if vm.is_halted() {
-        return Ok(None);
-    }
-    let tags = warm.as_ref().map(|w| w.tags());
-    if let Some(s) = store {
-        let mut ck = vm.checkpoint(key.program_hash, key.config_hash);
-        ck.cache_tags = tags.as_ref().map(|t| t.to_bytes());
-        let _ = s.save(&ck);
-    }
-    Ok(tags)
-}
 
-/// Fast-forwards the master to the absolute instruction index `target`
-/// (no-op when already there or past), accumulating the replayed count.
-fn position(
-    vm: &mut Vm,
-    target: u64,
-    warm: Option<&mut FunctionalWarmup>,
-    ff_insts: &mut u64,
-) -> Result<(), SimError> {
-    let here = vm.instructions_executed();
-    if target <= here {
-        return Ok(());
+    /// Fast-forwards to the absolute instruction index `target` (no-op
+    /// when already there or past), on top of `ff` already replayed,
+    /// feeding every memory access to the warmup model when present.
+    fn forward(&mut self, target: u64, ff: u64) -> Ahead {
+        let here = self.vm.instructions_executed();
+        let replayed = match &mut self.warm {
+            _ if target <= here => Ok(()),
+            Some(w) => self
+                .vm
+                .fast_forward_observed(target - here, |d| {
+                    if let Some(m) = &d.mem {
+                        w.touch(m.addr, m.is_store, m.is_local());
+                    }
+                })
+                .map(drop),
+            None => self.vm.fast_forward(target - here).map(drop),
+        };
+        let trap = replayed.err().map(|e| trap_at(&self.vm, e));
+        Ahead::Forwarded {
+            ff: ff + self.vm.instructions_executed() - here,
+            trap,
+        }
     }
-    fast_forward_warming(vm, target - here, warm).map_err(|e| trap_at(vm, e))?;
-    *ff_insts += vm.instructions_executed() - here;
-    Ok(())
-}
 
-/// Loads and validates a stored position: the checkpoint must restore
-/// against `program` and its tag payload must match whether warming is
-/// expected. Any failure — missing file, I/O error, corrupt bytes, tag
-/// mismatch — degrades to `None` (a store miss).
-fn load_state(
-    store: &CheckpointStore,
-    key: &CheckpointKey,
-    program: &Arc<Program>,
-    expect_tags: bool,
-) -> Option<(Vm, Option<HierarchyTags>)> {
-    let ck = store.load(key).ok().flatten()?;
-    let tags = tags_from_checkpoint(&ck).ok()?;
-    if expect_tags != tags.is_some() {
-        return None;
+    /// The second half of [`Master::position`]: adopts a restored
+    /// position, or counts the replay, surfaces its trap and checkpoints
+    /// the position unless the program halted.
+    fn settle(
+        &mut self,
+        key: CheckpointKey,
+        ahead: Ahead,
+    ) -> Result<Option<HierarchyTags>, SimError> {
+        match ahead {
+            Ahead::Stored(vm, tags) => {
+                self.vm = *vm;
+                if let (Some(w), Some(t)) = (self.warm.as_mut(), &tags) {
+                    w.adopt(t);
+                }
+                Ok(tags)
+            }
+            Ahead::Forwarded { ff, trap } => {
+                self.ff_insts += ff;
+                if let Some(e) = trap {
+                    return Err(e);
+                }
+                if self.vm.is_halted() {
+                    return Ok(None);
+                }
+                let tags = self.warm.as_ref().map(|w| w.tags());
+                if let Some(s) = self.store {
+                    let mut ck = self.vm.checkpoint(key.program_hash, key.config_hash);
+                    ck.cache_tags = tags.as_ref().map(|t| t.to_bytes());
+                    let _ = s.save(&ck);
+                }
+                Ok(tags)
+            }
+        }
     }
-    let vm = Vm::restore(Arc::clone(program), &ck).ok()?;
-    Some((vm, tags))
+
+    /// Covers the budget tail `tail` after a window that started at
+    /// `here` halted inside its warm-up, with `ahead` already taken toward
+    /// the next position: the tail a one-thread run would have positioned
+    /// from `here`.
+    fn tail_from(
+        &mut self,
+        here: u64,
+        ahead: Option<(CheckpointKey, Ahead)>,
+        tail: CheckpointKey,
+    ) -> Result<(), SimError> {
+        if tail.inst_index <= here {
+            return Ok(()); // the budget ends before this window started
+        }
+        match ahead {
+            // The replay toward the next start is the head of the tail's
+            // own replay: the overlap rule lets it run ahead of a window
+            // only when that replay then ends at the same halt or trap.
+            Some((_, Ahead::Forwarded { ff, trap })) => {
+                let ahead = match trap {
+                    None => self.forward(tail.inst_index, ff),
+                    trap => Ahead::Forwarded { ff, trap },
+                };
+                self.settle(tail, ahead).map(drop)
+            }
+            Some((key, stored)) if key == tail => self.settle(tail, stored).map(drop),
+            // A stored next start is never adopted: the master is still at
+            // `here`.
+            _ => self.position(tail).map(drop),
+        }
+    }
 }
 
 /// Wraps a functional fast-forward fault into the [`SimError::Trap`] a

@@ -134,6 +134,21 @@ impl FaultStats {
     }
 }
 
+/// Sums the accounts of several runs (a campaign's totals).
+impl std::ops::AddAssign<&FaultStats> for FaultStats {
+    fn add_assign(&mut self, other: &FaultStats) {
+        self.l1_flips_injected += other.l1_flips_injected;
+        self.lvc_flips_injected += other.lvc_flips_injected;
+        self.flips_detected += other.flips_detected;
+        self.flips_evicted += other.flips_evicted;
+        self.flips_latent += other.flips_latent;
+        self.grants_dropped += other.grants_dropped;
+        self.grants_delayed += other.grants_delayed;
+        self.forwards_corrupted += other.forwards_corrupted;
+        self.forwards_detected += other.forwards_detected;
+    }
+}
+
 /// The live injector owned by a running core: the plan, the PRNG stream,
 /// and the counters accumulated so far.
 #[derive(Clone, Debug)]

@@ -235,20 +235,31 @@ impl CacheCore {
         }
     }
 
+    /// Whether a [`CacheCore::export_tags`] snapshot fits this geometry:
+    /// the same line count, and every valid tag in the set it maps to.
+    pub(crate) fn fits(&self, tags: &CacheTags) -> bool {
+        tags.lines.len() == self.lines.len()
+            && tags.lines.iter().enumerate().all(|(idx, l)| {
+                !l.valid || self.set_of(l.tag << self.line_shift) == idx / self.assoc
+            })
+    }
+
     /// Imports a [`CacheCore::export_tags`] snapshot, replacing this
     /// cache's content state. Returns `false` — leaving the cache
     /// untouched — when the snapshot does not fit this geometry (wrong
     /// line count, or a valid tag that does not map to the set it sits
     /// in). Statistics are left as they are.
     pub fn import_tags(&mut self, tags: &CacheTags) -> bool {
-        if tags.lines.len() != self.lines.len() {
+        if !self.fits(tags) {
             return false;
         }
-        for (idx, l) in tags.lines.iter().enumerate() {
-            if l.valid && self.set_of(l.tag << self.line_shift) != idx / self.assoc {
-                return false;
-            }
-        }
+        self.overwrite(tags);
+        true
+    }
+
+    /// Replaces the content state with a snapshot already checked by
+    /// [`CacheCore::fits`].
+    pub(crate) fn overwrite(&mut self, tags: &CacheTags) {
         for (dst, src) in self.lines.iter_mut().zip(&tags.lines) {
             *dst = Line {
                 tag: src.tag,
@@ -258,7 +269,6 @@ impl CacheCore {
             };
         }
         self.clock = tags.clock;
-        true
     }
 
     /// Number of valid lines currently resident.

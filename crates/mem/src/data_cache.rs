@@ -59,7 +59,7 @@ impl DataCacheStats {
 /// faithful to the timing model.
 #[derive(Clone, Debug)]
 pub struct DataCache {
-    core: CacheCore,
+    pub(crate) core: CacheCore,
     config: CacheConfig,
     mshrs: MshrFile,
     source: L2Source,
@@ -241,14 +241,6 @@ impl DataCache {
     /// [`CacheCore::export_tags`].
     pub fn export_tags(&self) -> crate::tags::CacheTags {
         self.core.export_tags()
-    }
-
-    /// Imports warm content state into this cache. Intended for *fresh*
-    /// caches (empty MSHRs, zero statistics) before a detailed window
-    /// starts; returns `false` and leaves the cache untouched when the
-    /// snapshot does not fit this geometry.
-    pub fn import_tags(&mut self, tags: &crate::tags::CacheTags) -> bool {
-        self.core.import_tags(tags)
     }
 
     /// Access statistics.

@@ -145,21 +145,12 @@ impl Hierarchy {
     /// `false` — leaving every cache untouched — when the snapshot's
     /// shape does not match (LVC presence or any cache geometry).
     pub fn import_tags(&mut self, tags: &crate::tags::HierarchyTags) -> bool {
-        // Validate the whole snapshot before mutating anything.
-        if self.lvc.is_some() != tags.lvc.is_some() {
-            return false;
-        }
-        let mut probe = self.clone();
-        if !probe.l1.import_tags(&tags.l1) || !probe.l2.import_tags(&tags.l2) {
-            return false;
-        }
-        if let (Some(lvc), Some(t)) = (&mut probe.lvc, &tags.lvc) {
-            if !lvc.import_tags(t) {
-                return false;
-            }
-        }
-        *self = probe;
-        true
+        crate::tags::import_all(
+            &mut self.l1.core,
+            self.lvc.as_mut().map(|c| &mut c.core),
+            &mut self.l2.core,
+            tags,
+        )
     }
 
     /// L1 statistics.

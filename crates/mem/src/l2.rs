@@ -51,7 +51,7 @@ impl L2Stats {
 /// serialised by a simple first-come arbiter.
 #[derive(Clone, Debug)]
 pub struct L2 {
-    core: CacheCore,
+    pub(crate) core: CacheCore,
     config: L2Config,
     bus_next_free: u64,
     stats: L2Stats,
@@ -126,13 +126,6 @@ impl L2 {
     /// [`CacheCore::export_tags`].
     pub fn export_tags(&self) -> crate::tags::CacheTags {
         self.core.export_tags()
-    }
-
-    /// Imports warm content state into this L2 (fresh caches only — the
-    /// bus stays idle, statistics stay zero). Returns `false` on a
-    /// geometry mismatch.
-    pub fn import_tags(&mut self, tags: &crate::tags::CacheTags) -> bool {
-        self.core.import_tags(tags)
     }
 
     /// Traffic statistics.

@@ -224,21 +224,33 @@ impl FunctionalWarmup {
     /// leaving the model untouched, when the snapshot's shape does not
     /// match (LVC presence or any cache geometry).
     pub fn adopt(&mut self, tags: &HierarchyTags) -> bool {
-        if self.lvc.is_some() != tags.lvc.is_some() {
-            return false;
-        }
-        let mut probe = self.clone();
-        if !probe.l1.import_tags(&tags.l1) || !probe.l2.import_tags(&tags.l2) {
-            return false;
-        }
-        if let (Some(lvc), Some(t)) = (&mut probe.lvc, &tags.lvc) {
-            if !lvc.import_tags(t) {
-                return false;
-            }
-        }
-        *self = probe;
-        true
+        import_all(&mut self.l1, self.lvc.as_mut(), &mut self.l2, tags)
     }
+}
+
+/// Imports `tags` into the caches of one hierarchy all-or-nothing: every
+/// cache's shape (and LVC presence) is checked before any cache changes,
+/// so a mismatch leaves all of them untouched and returns `false`.
+pub(crate) fn import_all(
+    l1: &mut CacheCore,
+    lvc: Option<&mut CacheCore>,
+    l2: &mut CacheCore,
+    tags: &HierarchyTags,
+) -> bool {
+    let lvc = match (lvc, &tags.lvc) {
+        (None, None) => None,
+        (Some(cache), Some(t)) => Some((cache, t)),
+        _ => return false,
+    };
+    if !l1.fits(&tags.l1) || !l2.fits(&tags.l2) || lvc.as_ref().is_some_and(|(c, t)| !c.fits(t)) {
+        return false;
+    }
+    l1.overwrite(&tags.l1);
+    l2.overwrite(&tags.l2);
+    if let Some((cache, t)) = lvc {
+        cache.overwrite(t);
+    }
+    true
 }
 
 #[cfg(test)]

@@ -557,7 +557,9 @@ impl Vm {
     /// [`Vm::fast_forward`] with an observer called on every executed
     /// instruction, in architectural order — the hook functional cache
     /// warmup hangs off (the observer sees the identical [`DynInst`]
-    /// stream the interpreter would emit).
+    /// stream the interpreter would emit). Block replay hands each record
+    /// straight to the observer as it executes, so fast-forward never
+    /// materialises a record stream.
     ///
     /// # Errors
     ///
@@ -574,14 +576,8 @@ impl Vm {
         // terminator, so whole-block dispatch is safe while that worst
         // case still fits under the budget.
         let safe = MAX_BLOCK_OPS as u64 + 1;
-        let mut buf: Vec<DynInst> = Vec::with_capacity(safe as usize);
         while !self.halted && self.seq + safe <= target {
-            buf.clear();
-            let err = self.step_block(&mut buf);
-            for d in &buf {
-                observe(d);
-            }
-            if let Some(e) = err {
+            if let Some(e) = self.step_block_into(&mut observe) {
                 return Err(e);
             }
         }
@@ -704,6 +700,12 @@ impl Vm {
     /// of the faulting instruction applied — the same "state unchanged
     /// except halted" contract as [`Vm::step`].
     pub fn step_block(&mut self, out: &mut Vec<DynInst>) -> Option<VmError> {
+        self.step_block_into(&mut |d| out.push(*d))
+    }
+
+    /// [`Vm::step_block`] emitting each record through `emit` instead of
+    /// a buffer.
+    fn step_block_into(&mut self, emit: &mut impl FnMut(&DynInst)) -> Option<VmError> {
         if self.halted {
             return None;
         }
@@ -713,7 +715,7 @@ impl Vm {
             Some(tc) => tc,
             None => Box::new(TCache::new(&self.program)),
         };
-        let err = self.replay_block(&mut tc, out);
+        let err = self.replay_block(&mut tc, emit);
         self.tcache = Some(tc);
         err
     }
@@ -727,7 +729,15 @@ impl Vm {
         }
     }
 
-    fn replay_block(&mut self, tc: &mut TCache, out: &mut Vec<DynInst>) -> Option<VmError> {
+    // Forced inline (with `exec_micro`): each sink gets its own copy of
+    // the op walk with the sink's call compiled into it, which is what
+    // lets fast-forward skip the record buffer at no cost per op.
+    #[inline(always)]
+    fn replay_block(
+        &mut self,
+        tc: &mut TCache,
+        emit: &mut impl FnMut(&DynInst),
+    ) -> Option<VmError> {
         let pc = self.pc;
         if pc as usize >= self.program.len() {
             self.halted = true;
@@ -756,7 +766,7 @@ impl Vm {
             let op = tc.ops[idx as usize];
             match self.exec_micro(&op) {
                 Ok(mem) => {
-                    out.push(DynInst {
+                    emit(&DynInst {
                         seq: self.seq,
                         pc: op.pc,
                         instr: op.instr,
@@ -851,7 +861,7 @@ impl Vm {
             Terminator::Halt => {
                 self.halted = true;
                 self.block_hint = NO_BLOCK;
-                out.push(DynInst {
+                emit(&DynInst {
                     seq: self.seq,
                     pc: tpc,
                     instr: blk.term_instr,
@@ -864,7 +874,7 @@ impl Vm {
                 return None;
             }
         };
-        out.push(DynInst {
+        emit(&DynInst {
             seq: self.seq,
             pc: tpc,
             instr: blk.term_instr,
@@ -918,7 +928,7 @@ impl Vm {
 
     /// Executes one straight-line micro-op; on `Err` no architectural
     /// state has changed (access checks run before any write).
-    #[inline]
+    #[inline(always)]
     fn exec_micro(&mut self, op: &MicroOp) -> Result<Option<MemInfo>, VmError> {
         match op.kind {
             OpKind::Nop => Ok(None),

@@ -18,8 +18,11 @@
 # The fuzz smokes run two bounded differential campaigns (200 generated
 # programs each, fixed seed) through the fast-vs-reference oracle and
 # fail on any host panic or divergence: one clean, one with `--faults`
-# armed on both kernels (LVC line poisoning and dropped port grants;
-# grant handling is where the two kernels' code differs most). The
+# armed on both kernels (every fault kind: L1 and LVC line poisoning,
+# dropped and delayed port grants, corrupted forwards; grant handling
+# and forwarding are where the two kernels' code differs most). The
+# faulted one also fails when an armed kind injected nothing (its
+# report's `faults_silent` list is not empty). The
 # corpus-replay step reruns every minimized reproducer checked into
 # tests/corpus/ through both kernels. All three run in normal AND
 # --quick modes — they are the cheapest whole-machine bit-identity gates
@@ -103,11 +106,17 @@ cargo run --release -q -p dda-bench --bin fuzz -- \
     --out target/BENCH_fuzz_smoke.json --corpus target/fuzz_corpus_smoke
 
 # The same campaign with the fault plan armed on both kernels (fault-RNG
-# draw order must match too). Runs in both modes.
+# draw order must match too), and every armed kind must have fired.
+# Runs in both modes.
 echo "== differential-fuzz smoke, faults armed (200 programs, fixed seed)"
 cargo run --release -q -p dda-bench --bin fuzz -- \
     --quick --faults --seed 3405695742 \
     --out target/BENCH_fuzz_faults_smoke.json --corpus target/fuzz_corpus_faults_smoke
+if ! grep -q '"faults_silent": \[\],' target/BENCH_fuzz_faults_smoke.json; then
+    echo "faulted fuzz smoke: an armed fault kind injected nothing" >&2
+    grep '"faults_' target/BENCH_fuzz_faults_smoke.json >&2 || true
+    exit 1
+fi
 
 # Corpus replay: every checked-in minimized reproducer re-assembles and
 # reruns through both kernels (and planted-* entries must still

@@ -4,7 +4,9 @@
 //! state, same `VmError` at the same pc — across randomized programs,
 //! deliberate fault paths (whose pipeline runs must trap with that
 //! `VmError` on both kernels), stack-slot versioning, and fault-injected
-//! pipeline runs (RNG draw order).
+//! pipeline runs (RNG draw order). Fast-forward (`Vm::fast_forward_observed`),
+//! which replays blocks straight into its observer, is held to the same
+//! stream, error and final state.
 
 use std::sync::Arc;
 
@@ -57,6 +59,15 @@ fn replay_run(program: &Arc<Program>, cap: u64) -> (Vec<DynInst>, Option<VmError
     (stream, err, vm)
 }
 
+/// Drains a [`Vm`] through the fast-forward front-end, which replays
+/// blocks into its observer without buffering them.
+fn ff_run(program: &Arc<Program>, cap: u64) -> (Vec<DynInst>, Option<VmError>, Vm) {
+    let mut vm = Vm::new(Arc::clone(program));
+    let mut stream = Vec::new();
+    let err = vm.fast_forward_observed(cap, |d| stream.push(*d)).err();
+    (stream, err, vm)
+}
+
 /// Asserts the two machines ended in the same architectural state. Memory
 /// is compared at every address the committed stream touched (the sparse
 /// store has no global equality, and untouched pages are zero in both).
@@ -100,23 +111,33 @@ fn assert_same_state(label: &str, a: &Vm, b: &Vm, stream: &[DynInst]) {
     }
 }
 
-/// Runs both front-ends to completion and asserts full observational
-/// equivalence: identical streams, identical error (or none), identical
-/// final state. Returns the committed stream for further inspection.
+/// Runs all three front-ends to completion and asserts full
+/// observational equivalence: identical streams, identical error (or
+/// none), identical final state — and, between the two block replayers,
+/// identical translation-cache counters. Returns the committed stream for
+/// further inspection.
 fn assert_equivalent(label: &str, program: Program) -> Vec<DynInst> {
     let program = Arc::new(program);
     let (si, ei, vi) = interp_run(&program, STEP_CAP);
     let (sb, eb, vb) = replay_run(&program, STEP_CAP);
+    let (sf, ef, vf) = ff_run(&program, STEP_CAP);
     assert!(
         (si.len() as u64) < STEP_CAP,
         "{label}: generator produced a runaway program"
     );
-    assert_eq!(si.len(), sb.len(), "{label}: stream lengths differ");
-    for (i, (x, y)) in si.iter().zip(&sb).enumerate() {
-        assert_eq!(x, y, "{label}: DynInst #{i} differs");
+    for (front, s, e, v) in [("block", &sb, &eb, &vb), ("fast-forward", &sf, &ef, &vf)] {
+        assert_eq!(si.len(), s.len(), "{label}: {front} stream length differs");
+        for (i, (x, y)) in si.iter().zip(s).enumerate() {
+            assert_eq!(x, y, "{label}: {front} DynInst #{i} differs");
+        }
+        assert_eq!(&ei, e, "{label}: {front} VmError differs");
+        assert_same_state(&format!("{label} ({front})"), &vi, v, &si);
     }
-    assert_eq!(ei, eb, "{label}: VmError differs");
-    assert_same_state(label, &vi, &vb, &si);
+    assert_eq!(
+        vb.tcache_stats(),
+        vf.tcache_stats(),
+        "{label}: translation-cache counters differ"
+    );
     si
 }
 
@@ -358,6 +379,33 @@ fn randomized_faulting_programs_trap_identically() {
         faulted += 1;
     }
     assert_eq!(faulted, 24, "every faulty program must trap");
+}
+
+#[test]
+fn randomized_faulting_programs_fast_forward_identically() {
+    for seed in 0..24u64 {
+        let mut rng = Rng::seed_from_u64(0xFA17 << 8 | seed);
+        let program = random_program(&mut rng, true);
+        assert_equivalent(&format!("faulty seed {seed}"), program);
+    }
+}
+
+#[test]
+fn preset_benchmarks_fast_forward_exact_prefixes() {
+    // Fast-forward stops on the exact instruction boundary, so its prefix
+    // and final state match the interpreter's with no truncation.
+    const WINDOW: u64 = 60_000;
+    for bench in Benchmark::ALL {
+        let program = Arc::new(bench.program(u32::MAX / 2));
+        let (si, ei, vi) = interp_run(&program, WINDOW);
+        let (sf, ef, vf) = ff_run(&program, WINDOW);
+        assert_eq!(si.len(), sf.len(), "{bench}: prefix lengths differ");
+        for (i, (x, y)) in si.iter().zip(&sf).enumerate() {
+            assert_eq!(x, y, "{bench}: DynInst #{i} differs");
+        }
+        assert_eq!((ei, ef), (None, None), "{bench}: faulted inside the window");
+        assert_same_state(&format!("{bench}"), &vi, &vf, &si);
+    }
 }
 
 #[test]
