@@ -345,21 +345,11 @@ pub fn sample_program_stored(
             let window = s.spawn(move || {
                 sim.run_window(vm_w, tags.as_ref(), scfg.warmup_insts, scfg.window_insts)
             });
-            // While the window runs, the master approaches `next`. If the
-            // window measures nothing, one-thread order goes from `here` to
-            // the budget tail instead, so a start short of the tail is
-            // approached early only when such a window implies that the
-            // program halts before the budget; the tail's replay then
-            // passes that start and ends at the same halt. It does when the
-            // window spans at least one cycle's commits (the warm-up ends
-            // inside one commit group) and ends before the budget.
-            let ahead = next
-                .filter(|key| {
-                    key.inst_index == scfg.budget
-                        || (scfg.window_insts >= u64::from(cfg.commit_width)
-                            && here + scfg.warmup_insts + scfg.window_insts < scfg.budget)
-                })
-                .map(|key| (key, master.look_ahead(key)));
+            // While the window runs, the master approaches `next`. It is a
+            // prefix of every path one-thread order can take from `here`:
+            // the next start, or the budget tail when the window measures
+            // nothing (`tail_from`).
+            let ahead = next.map(|key| (key, master.look_ahead(key)));
             let run = window
                 .join()
                 .unwrap_or_else(|payload| std::panic::resume_unwind(payload))?;
@@ -367,7 +357,7 @@ pub fn sample_program_stored(
             if run.window.committed == 0 {
                 // Halted inside the warm-up prefix (or, for a window
                 // shorter than a commit group, ended with it).
-                return master.tail_from(here, ahead, key_at(scfg.budget));
+                return master.tail_from(here, ahead.map(|(_, a)| a), key_at(scfg.budget));
             }
             windows.push(WindowSample {
                 start_inst: here,
@@ -380,10 +370,9 @@ pub fn sample_program_stored(
                     as f64
                     / (run.window.committed as f64 / 1000.0),
             });
-            tags = match (next, ahead) {
-                (_, Some((key, ahead))) => master.settle(key, ahead)?,
-                (Some(key), None) => master.position(key)?,
-                (None, None) => None,
+            tags = match ahead {
+                Some((key, ahead)) => master.settle(key, ahead)?,
+                None => None,
             };
         }
         Ok(())
@@ -566,34 +555,32 @@ impl Master<'_> {
     }
 
     /// Covers the budget tail `tail` after a window that started at
-    /// `here` halted inside its warm-up, with `ahead` already taken toward
-    /// the next position: the tail a one-thread run would have positioned
+    /// `here` measured nothing, with `ahead` already taken toward the
+    /// next position: the tail a one-thread run would have positioned
     /// from `here`.
     fn tail_from(
         &mut self,
         here: u64,
-        ahead: Option<(CheckpointKey, Ahead)>,
+        ahead: Option<Ahead>,
         tail: CheckpointKey,
     ) -> Result<(), SimError> {
         if tail.inst_index <= here {
             return Ok(()); // the budget ends before this window started
         }
-        match ahead {
+        // A stored tail replaces whatever `ahead` did: the restore
+        // overwrites the master and its warm tags, and its replay is not
+        // counted because a one-thread run never made it.
+        let ahead = match (self.stored(&tail), ahead) {
+            (Some(stored), _) => stored,
             // The replay toward the next start is the head of the tail's
-            // own replay: the overlap rule lets it run ahead of a window
-            // only when that replay then ends at the same halt or trap.
-            Some((_, Ahead::Forwarded { ff, trap })) => {
-                let ahead = match trap {
-                    None => self.forward(tail.inst_index, ff),
-                    trap => Ahead::Forwarded { ff, trap },
-                };
-                self.settle(tail, ahead).map(drop)
-            }
-            Some((key, stored)) if key == tail => self.settle(tail, stored).map(drop),
+            // own replay, a trap on the way included.
+            (None, Some(Ahead::Forwarded { ff, trap: None })) => self.forward(tail.inst_index, ff),
+            (None, Some(trapped @ Ahead::Forwarded { .. })) => trapped,
             // A stored next start is never adopted: the master is still at
             // `here`.
-            _ => self.position(tail).map(drop),
-        }
+            (None, Some(Ahead::Stored(..)) | None) => self.forward(tail.inst_index, 0),
+        };
+        self.settle(tail, ahead).map(drop)
     }
 }
 

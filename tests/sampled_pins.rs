@@ -179,3 +179,36 @@ fn a_halt_inside_a_warm_up_is_pinned() {
     // Starts 0, 10 000 and 20 000; nothing at or after the halt.
     assert_eq!(files, 3);
 }
+
+#[test]
+fn a_window_shorter_than_a_commit_group_is_pinned() {
+    // The warm-up ends inside a commit group that also covers the
+    // one-instruction window, so the first window measures nothing and
+    // the run covers the budget tail from the first start without
+    // halting. The warm run restores the tail instead of replaying it.
+    let program = countdown(100_000, |f| {
+        f.halt();
+    });
+    let scfg = SamplingConfig {
+        window_insts: 1,
+        warmup_insts: 503,
+        ..small_plan(40_000)
+    };
+    let plain = sample_program(&optimized(), Arc::clone(&program), &scfg).unwrap();
+    let (dir, store) = fresh_store("short-window");
+    let cold = sample_program_stored(&optimized(), Arc::clone(&program), &scfg, Some(&store));
+    let files = store.len().unwrap();
+    let warm = sample_program_stored(&optimized(), program, &scfg, Some(&store));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (cold, warm) = (cold.unwrap(), warm.unwrap());
+    for (run, ff) in [(&plain, 40_000), (&cold, 40_000), (&warm, 0)] {
+        assert!(run.windows.is_empty());
+        assert_eq!(
+            summary(run),
+            (0xbf0d_3b33_8c92_611f, ff, 504, false),
+            "fast_forwarded {ff}"
+        );
+    }
+    // The first start and the budget tail.
+    assert_eq!(files, 2);
+}
