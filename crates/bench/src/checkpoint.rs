@@ -7,31 +7,39 @@
 //! populates the store, every later run (same program, same position,
 //! same warm-state-relevant configuration) restores in one file read.
 //!
-//! Fingerprints use [`fnv1a64`] over *stable* renderings (the assembly
-//! text of the program, the `Debug` form of the configuration), never a
-//! `Hasher` whose output may change across releases — file names are a
-//! format commitment.
+//! Fingerprints are FNV-1a digests of *stable* renderings (the assembly
+//! text of the program, the `Debug` form of the configuration), never of
+//! a `Hasher` whose output may change across releases — file names are a
+//! format commitment, pinned by `tests/store_keys.rs`. Each rendering is
+//! streamed into an [`Fnv1a64`] as it is written, so the text itself is
+//! never built.
 
+use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use dda_core::MachineConfig;
 use dda_program::Program;
-use dda_stats::fnv1a64;
+use dda_stats::Fnv1a64;
 use dda_vm::{Checkpoint, CheckpointKey};
 
 use crate::store::{invalid_data, RecordDir};
 
-/// Stable content fingerprint of a program (its assembly rendering).
+/// Stable content fingerprint of a program: the FNV-1a of its
+/// [`Program::to_asm`] text, streamed from [`Program::write_asm`].
 pub fn program_fingerprint(p: &Program) -> u64 {
-    fnv1a64(p.to_asm().as_bytes())
+    let mut h = Fnv1a64::new();
+    let _ = p.write_asm(&mut h); // hashing never fails
+    h.finish()
 }
 
 /// Stable fingerprint of the configuration state a checkpoint's warm
 /// cache tags depend on — the hierarchy geometry alone, since the
 /// architectural part of a checkpoint is configuration-independent.
 pub fn config_fingerprint(cfg: &MachineConfig) -> u64 {
-    fnv1a64(format!("{:?}", cfg.hierarchy).as_bytes())
+    let mut h = Fnv1a64::new();
+    let _ = write!(h, "{:?}", cfg.hierarchy);
+    h.finish()
 }
 
 /// A directory of serialized checkpoints, one file per key.

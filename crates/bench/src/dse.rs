@@ -57,7 +57,8 @@
 //! every stored record silently becomes a miss. Corrupt records degrade
 //! to misses too — the store is a cache, never a source of truth.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -66,7 +67,7 @@ use std::sync::Arc;
 
 use dda_core::{MachineConfig, SimError, SimResult, Simulator};
 use dda_program::Program;
-use dda_stats::{fnv1a64, ByteReader, ByteWriter, DecodeError};
+use dda_stats::{ByteReader, ByteWriter, DecodeError, Fnv1a64};
 use dda_workloads::Benchmark;
 
 use crate::campaign::panic_message;
@@ -104,12 +105,13 @@ pub enum RunPlan {
 }
 
 impl RunPlan {
-    /// Stable textual rendering of the plan — part of the cache key, so
-    /// any field that changes what is measured must appear here.
-    fn plan_text(&self) -> String {
+    /// Writes the plan's stable textual rendering — part of the cache key,
+    /// so any field that changes what is measured must appear here.
+    fn write_text(&self, w: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            RunPlan::Full { budget } => format!("full@{budget}"),
-            RunPlan::Sampled(s) => format!(
+            RunPlan::Full { budget } => write!(w, "full@{budget}"),
+            RunPlan::Sampled(s) => write!(
+                w,
                 "sampled k={} w={} warm={} budget={} conf={} fwarm={} adaptive={:?} cap={}",
                 s.windows,
                 s.window_insts,
@@ -128,7 +130,8 @@ impl RunPlan {
 /// stable text combining everything the result depends on — kernel
 /// version, result-affecting configuration fields
 /// ([`MachineConfig::result_fingerprint_text`]), program content, the
-/// workload seed, and the run plan.
+/// workload seed, and the run plan. The text is hashed as it is written
+/// and never built; `tests/store_keys.rs` pins the digests.
 pub fn result_key(
     kernel_version: u32,
     cfg: &MachineConfig,
@@ -136,12 +139,44 @@ pub fn result_key(
     seed: u32,
     plan: &RunPlan,
 ) -> u64 {
-    let text = format!(
-        "dse kernel={kernel_version}\nprogram={program_hash:016x}\nseed={seed}\nplan={}\ncfg={}",
-        plan.plan_text(),
-        cfg.result_fingerprint_text()
+    let mut h = key_head(kernel_version, program_hash, seed, plan);
+    let _ = cfg.write_result_fingerprint(&mut h); // hashing never fails
+    h.finish()
+}
+
+/// The [`result_key`] hash over its text up to the configuration
+/// rendering, which comes last — one state shared by every cell of a
+/// program under one plan.
+fn key_head(kernel_version: u32, program_hash: u64, seed: u32, plan: &RunPlan) -> Fnv1a64 {
+    let mut h = Fnv1a64::new();
+    let _ = write!(
+        h,
+        "dse kernel={kernel_version}\nprogram={program_hash:016x}\nseed={seed}\nplan="
     );
-    fnv1a64(text.as_bytes())
+    let _ = plan.write_text(&mut h);
+    let _ = h.write_str("\ncfg=");
+    h
+}
+
+/// Whether two configurations render the same
+/// [`MachineConfig::result_fingerprint_text`], judged without rendering
+/// either. `==` decides, except that it equates fault rates of `0.0` and
+/// `-0.0`, which render apart, so their bits are compared too. (Configs
+/// that `==` tells apart but that render alike — NaN rates, or only
+/// `audit` differing — are merely rendered twice.)
+fn renders_alike(a: &MachineConfig, b: &MachineConfig) -> bool {
+    let rates = |c: &MachineConfig| {
+        let p = &c.fault_plan;
+        [
+            p.flip_lvc_line,
+            p.flip_l1_line,
+            p.drop_port_grant,
+            p.delay_port_grant,
+            p.corrupt_forward,
+        ]
+        .map(f64::to_bits)
+    };
+    a == b && rates(a) == rates(b)
 }
 
 // ------------------------------------------------------- cell outcomes --
@@ -428,46 +463,50 @@ impl DseRequest {
     /// Expands the matrix into concrete cells, deduplicated by
     /// result-affecting content: an `M == 0` point appears once per
     /// benchmark no matter how many combining/forwarding settings are
-    /// crossed (those knobs do not exist without an LVC), and identical
-    /// configurations reached by different coordinates collapse.
+    /// crossed (those knobs do not exist without an LVC), identical
+    /// configurations reached by different coordinates collapse (the
+    /// first coordinates name the cell), and a repeated benchmark adds
+    /// nothing. Cells are benchmark-major, in first-occurrence order.
     pub fn expand(&self) -> Vec<DseCell> {
-        let mut cells = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        let mut push = |bench: Benchmark, cfg: MachineConfig, label: String| {
-            let id = format!("{} {}", bench.name(), cfg.result_fingerprint_text());
-            if seen.insert(id) {
-                cells.push(DseCell { bench, cfg, label });
+        // The distinct configurations, each with its label suffix, built
+        // once and crossed with every benchmark.
+        let mut configs: Vec<(MachineConfig, String)> = Vec::new();
+        let mut add = |cfg: MachineConfig, suffix: String| {
+            if !configs.iter().any(|(c, _)| renders_alike(c, &cfg)) {
+                configs.push((cfg, suffix));
             }
         };
-        for &bench in &self.benches {
-            for &(n, m) in &self.grid {
-                if m == 0 {
-                    push(
-                        bench,
-                        MachineConfig::n_plus_m(n, 0),
-                        format!("{}/{n}+0", bench.name()),
-                    );
-                    continue;
-                }
-                for &comb in &self.combining {
-                    for &ff in &self.fast_forward {
-                        let mut cfg = MachineConfig::n_plus_m(n, m)
-                            .with_combining(comb)
-                            .with_fast_forwarding(ff);
-                        if let Some(bytes) = self.lvc_bytes {
-                            cfg = cfg.with_lvc_size(bytes);
-                        }
-                        push(
-                            bench,
-                            cfg,
-                            format!(
-                                "{}/{n}+{m}/c{comb}/f{}",
-                                bench.name(),
-                                if ff { 1 } else { 0 }
-                            ),
-                        );
+        for &(n, m) in &self.grid {
+            if m == 0 {
+                add(MachineConfig::n_plus_m(n, 0), format!("{n}+0"));
+                continue;
+            }
+            for &comb in &self.combining {
+                for &ff in &self.fast_forward {
+                    let mut cfg = MachineConfig::n_plus_m(n, m)
+                        .with_combining(comb)
+                        .with_fast_forwarding(ff);
+                    if let Some(bytes) = self.lvc_bytes {
+                        cfg = cfg.with_lvc_size(bytes);
                     }
+                    add(cfg, format!("{n}+{m}/c{comb}/f{}", u8::from(ff)));
                 }
+            }
+        }
+        let mut benches: Vec<Benchmark> = Vec::with_capacity(self.benches.len());
+        for &bench in &self.benches {
+            if !benches.contains(&bench) {
+                benches.push(bench);
+            }
+        }
+        let mut cells = Vec::with_capacity(benches.len() * configs.len());
+        for bench in benches {
+            for (cfg, suffix) in &configs {
+                cells.push(DseCell {
+                    bench,
+                    cfg: cfg.clone(),
+                    label: format!("{}/{suffix}", bench.name()),
+                });
             }
         }
         cells
@@ -564,6 +603,24 @@ pub fn compute_cell(
     }
 }
 
+/// `cfg`'s [`MachineConfig::result_fingerprint_text`] from `texts`,
+/// rendered into it on first sight. A request's cells share a few
+/// configurations (a paper sweep: 216 cells, 18 configurations), so a
+/// linear scan beats rendering ~1 KB of `Debug` text per cell.
+fn config_text<'t, 'c>(
+    texts: &'t mut Vec<(&'c MachineConfig, String)>,
+    cfg: &'c MachineConfig,
+) -> &'t str {
+    let i = match texts.iter().position(|(c, _)| renders_alike(c, cfg)) {
+        Some(i) => i,
+        None => {
+            texts.push((cfg, cfg.result_fingerprint_text()));
+            texts.len() - 1
+        }
+    };
+    &texts[i].1
+}
+
 /// The memoized DSE engine: a [`ResultStore`] of finished measurements,
 /// an optional [`CheckpointStore`] of fast-forward positions shared by
 /// every sampled-cell worker, and the kernel version stamped into cache
@@ -608,24 +665,28 @@ impl DseService {
         plan: &RunPlan,
         emit: &mut dyn FnMut(CellReport),
     ) -> DseSummary {
-        // One shared program image (and fingerprint) per distinct
-        // benchmark, regardless of how many cells use it.
-        let mut programs: HashMap<Benchmark, (Arc<Program>, u64)> = HashMap::new();
+        // One shared program image (and key head) per distinct
+        // benchmark, and one configuration text per distinct
+        // configuration, regardless of how many cells use them.
+        let mut programs: HashMap<Benchmark, (Arc<Program>, Fnv1a64)> = HashMap::new();
         for c in cells {
             programs.entry(c.bench).or_insert_with(|| {
                 let p = Arc::new(c.bench.program(seed.max(1)));
-                let h = program_fingerprint(&p);
-                (p, h)
+                let head = key_head(self.kernel_version, program_fingerprint(&p), seed, plan);
+                (p, head)
             });
         }
+        let mut texts: Vec<(&MachineConfig, String)> = Vec::new();
         let mut summary = DseSummary {
             cells: cells.len(),
             ..DseSummary::default()
         };
         let mut misses: Vec<(usize, u64, &DseCell, Arc<Program>)> = Vec::new();
         for (i, cell) in cells.iter().enumerate() {
-            let (program, phash) = &programs[&cell.bench];
-            let key = result_key(self.kernel_version, &cell.cfg, *phash, seed, plan);
+            let (program, head) = &programs[&cell.bench];
+            let mut h = *head;
+            h.update(config_text(&mut texts, &cell.cfg).as_bytes());
+            let key = h.finish(); // = result_key(self.kernel_version, &cell.cfg, ..)
             match self.results.load(key) {
                 Ok(Some(outcome)) => {
                     summary.hits += 1;
@@ -841,6 +902,31 @@ mod tests {
             base,
             result_key(1, &audited, 0xABCD, 7, &RunPlan::Full { budget: 100 })
         );
+    }
+
+    #[test]
+    fn streamed_keys_equal_result_key_for_twins_of_every_kind() {
+        // Configurations that `==` equates but that render apart (a
+        // `-0.0` rate), and that render alike but `==` tells apart
+        // (`audit`), must each keep their own `result_key`.
+        let base = MachineConfig::n_plus_m(4, 2).with_optimizations();
+        let mut signed_zero = base.clone();
+        signed_zero.fault_plan.drop_port_grant = -0.0;
+        assert_eq!(signed_zero, base);
+        let audited = base.clone().with_audit(!base.audit);
+        let cfgs = [base.clone(), signed_zero, audited, base];
+        let cells = cells_of(&[Benchmark::Compress, Benchmark::Li], &cfgs);
+        let dir = temp_dir("twins");
+        let svc = DseService::new(ResultStore::open(&dir).expect("store opens"), None);
+        let plan = RunPlan::Full { budget: 500 };
+        let mut keys = vec![0; cells.len()];
+        svc.run_streaming(&cells, DEFAULT_SEED, &plan, &mut |r| keys[r.index] = r.key);
+        let _ = std::fs::remove_dir_all(&dir);
+        for (cell, key) in cells.iter().zip(keys) {
+            let phash = program_fingerprint(&cell.bench.program(DEFAULT_SEED));
+            let want = result_key(KERNEL_VERSION, &cell.cfg, phash, DEFAULT_SEED, &plan);
+            assert_eq!(key, want, "{}", cell.label);
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use dda_core::{MachineConfig, SimError, Simulator, WindowRun};
+use dda_core::{ConfigError, MachineConfig, SimError, Simulator, WindowRun};
 use dda_mem::{FunctionalWarmup, HierarchyTags};
 use dda_program::Program;
 use dda_vm::{CheckpointKey, Vm};
@@ -258,6 +258,10 @@ fn lvc_hit_rate(w: &WindowRun) -> f64 {
 /// fast-forward surfaces as the [`SimError::Trap`] the detailed run
 /// would have raised. When both a window and the fast-forward behind it
 /// fail, the window's error is returned: it comes first in run order.
+/// A window shorter than the machine's commit width is rejected before
+/// anything runs, as [`ConfigError::WindowShorterThanCommitGroup`]: the
+/// cycle that ends its warm-up could commit all of it, so it could
+/// measure nothing without the program halting.
 ///
 /// # Panics
 ///
@@ -300,6 +304,14 @@ pub fn sample_program_stored(
     store: Option<&CheckpointStore>,
 ) -> Result<SampledRun, SimError> {
     let sim = &Simulator::new(cfg.clone())?;
+    if scfg.window_insts < u64::from(cfg.commit_width) {
+        return Err(SimError::Config(
+            ConfigError::WindowShorterThanCommitGroup {
+                window_insts: scfg.window_insts,
+                commit_width: cfg.commit_width,
+            },
+        ));
+    }
     let start_t = Instant::now();
     let k = scfg.windows.max(1) as u64;
     let spacing = (scfg.budget / k).max(1);
@@ -355,8 +367,8 @@ pub fn sample_program_stored(
                 .unwrap_or_else(|payload| std::panic::resume_unwind(payload))?;
             detailed_insts += run.total.committed;
             if run.window.committed == 0 {
-                // Halted inside the warm-up prefix (or, for a window
-                // shorter than a commit group, ended with it).
+                // Halted inside the warm-up prefix: a window at least a
+                // commit group long measures something otherwise.
                 return master.tail_from(here, ahead.map(|(_, a)| a), key_at(scfg.budget));
             }
             windows.push(WindowSample {
@@ -554,10 +566,10 @@ impl Master<'_> {
         }
     }
 
-    /// Covers the budget tail `tail` after a window that started at
-    /// `here` measured nothing, with `ahead` already taken toward the
-    /// next position: the tail a one-thread run would have positioned
-    /// from `here`.
+    /// Covers the budget tail `tail` after the program halted inside the
+    /// warm-up of the window that started at `here`, with `ahead` already
+    /// taken toward the next position: the tail a one-thread run would
+    /// have positioned from `here`.
     fn tail_from(
         &mut self,
         here: u64,
@@ -572,10 +584,10 @@ impl Master<'_> {
         // counted because a one-thread run never made it.
         let ahead = match (self.stored(&tail), ahead) {
             (Some(stored), _) => stored,
-            // The replay toward the next start is the head of the tail's
-            // own replay, a trap on the way included.
-            (None, Some(Ahead::Forwarded { ff, trap: None })) => self.forward(tail.inst_index, ff),
-            (None, Some(trapped @ Ahead::Forwarded { .. })) => trapped,
+            // The replay toward the next start stopped there or at the
+            // halt, so it is the head of the tail's own replay. It cannot
+            // have trapped: a trap before the halt fails the window first.
+            (None, Some(Ahead::Forwarded { ff, .. })) => self.forward(tail.inst_index, ff),
             // A stored next start is never adopted: the master is still at
             // `here`.
             (None, Some(Ahead::Stored(..)) | None) => self.forward(tail.inst_index, 0),

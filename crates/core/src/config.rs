@@ -1,5 +1,7 @@
 //! Machine configuration.
 
+use std::fmt;
+
 use dda_isa::{FuClass, LatencyTable};
 use dda_mem::HierarchyConfig;
 
@@ -262,10 +264,24 @@ impl MachineConfig {
     /// geometry, decoupling knobs, the fault plan, even the test-only
     /// planted defect — changes counters and therefore the fingerprint.
     pub fn result_fingerprint_text(&self) -> String {
-        let mut canon = self.clone();
-        canon.reference_kernel = false;
-        canon.audit = false;
-        format!("{canon:?}")
+        let mut text = String::new();
+        let _ = self.write_result_fingerprint(&mut text); // a `String` never fails
+        text
+    }
+
+    /// Writes [`MachineConfig::result_fingerprint_text`] into `w` — its
+    /// one renderer, so a cache key can hash the text as it is written.
+    ///
+    /// # Errors
+    ///
+    /// The first error `w` returns.
+    pub fn write_result_fingerprint(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        let canon = MachineConfig {
+            reference_kernel: false,
+            audit: false,
+            ..self.clone()
+        };
+        write!(w, "{canon:?}")
     }
 
     /// Validates widths, capacities, the hierarchy and the fault plan.

@@ -42,6 +42,15 @@ pub enum ConfigError {
     },
     /// `delay_port_grant` is nonzero but `delay_cycles` is zero.
     ZeroFaultDelay,
+    /// A sampled window is shorter than one commit group, so the cycle
+    /// that ends its warm-up may also commit the whole window and leave
+    /// nothing to measure.
+    WindowShorterThanCommitGroup {
+        /// The requested window length in committed instructions.
+        window_insts: u64,
+        /// The machine's commit width.
+        commit_width: u32,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -66,6 +75,14 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroFaultDelay => {
                 write!(f, "delay_port_grant needs delay_cycles >= 1")
             }
+            ConfigError::WindowShorterThanCommitGroup {
+                window_insts,
+                commit_width,
+            } => write!(
+                f,
+                "sampling window of {window_insts} instructions is shorter than \
+                 a commit group ({commit_width} instructions)"
+            ),
         }
     }
 }

@@ -134,7 +134,8 @@ impl Gpr {
 
 impl fmt::Display for Gpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "${}", self.name())
+        f.write_str("$")?;
+        f.write_str(self.name())
     }
 }
 

@@ -1,6 +1,7 @@
 //! The linked program image.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use dda_isa::Instr;
 
@@ -145,19 +146,30 @@ impl Program {
     /// [`assemble`]: crate::assemble
     /// [`MemoryLayout::standard`]: crate::MemoryLayout::standard
     pub fn to_asm(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
+        let _ = self.write_asm(&mut out); // writing to a `String` cannot fail
+        out
+    }
+
+    /// Writes the [`Program::to_asm`] text into `w` — the one renderer of
+    /// it, so a caller that only hashes or streams the text (a content
+    /// fingerprint) never builds it.
+    ///
+    /// # Errors
+    ///
+    /// The first error `w` returns.
+    pub fn write_asm(&self, w: &mut impl fmt::Write) -> fmt::Result {
         for f in &self.functions {
             if f.frame_bytes == 0 {
-                let _ = writeln!(out, "{}:", f.name);
+                writeln!(w, "{}:", f.name)?;
             } else {
-                let _ = writeln!(out, "{}: frame {}", f.name, f.frame_bytes);
+                writeln!(w, "{}: frame {}", f.name, f.frame_bytes)?;
             }
             for pc in f.start..f.end {
-                let _ = writeln!(out, "    {}", self.instrs[pc as usize]);
+                writeln!(w, "    {}", self.instrs[pc as usize])?;
             }
         }
-        out
+        Ok(())
     }
 
     /// Static basic-block leader pre-scan.

@@ -11,10 +11,13 @@
 //! surfaces as one [`DecodeError`].
 //!
 //! [`fnv1a64`] is the content hash used for content-addressed checkpoint
-//! keys. Unlike [`crate::FibHasher`] (a hot-path map hasher with no
+//! and result keys; [`Fnv1a64`] computes it over text as it is written.
+//! Unlike [`crate::FibHasher`] (a hot-path map hasher with no
 //! stability promise), FNV-1a here is a *format* commitment: the digest
 //! of a given byte string must never change across releases, or every
 //! stored checkpoint key would silently rot.
+
+use core::fmt;
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -29,11 +32,57 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// assert_ne!(dda_stats::fnv1a64(b"a"), dda_stats::fnv1a64(b"b"));
 /// ```
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+    let mut h = Fnv1a64::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// [`fnv1a64`] as a streaming [`fmt::Write`] sink: text written into it
+/// is hashed as it is produced, so a rendering can be fingerprinted
+/// without ever being built. The digest of everything written equals
+/// [`fnv1a64`] of the concatenated bytes, however the writes split it.
+///
+/// ```
+/// use std::fmt::Write as _;
+/// let mut h = dda_stats::Fnv1a64::new();
+/// write!(h, "{}-{:04x}", "key", 42).unwrap();
+/// assert_eq!(h.finish(), dda_stats::fnv1a64(b"key-002a"));
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// A hasher that has seen no bytes (its digest is the offset basis).
+    pub const fn new() -> Fnv1a64 {
+        Fnv1a64(FNV_OFFSET)
     }
-    h
+
+    /// Feeds `bytes` into the hash.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// The digest of every byte fed so far.
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Fnv1a64 {
+        Fnv1a64::new()
+    }
+}
+
+impl fmt::Write for Fnv1a64 {
+    #[inline]
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Why a record failed to decode.
@@ -360,5 +409,16 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn streaming_fnv_matches_the_one_shot_digest() {
+        use std::fmt::Write as _;
+        let mut h = Fnv1a64::new();
+        write!(h, "foo").unwrap();
+        h.write_char('b').unwrap();
+        h.update(b"ar");
+        assert_eq!(h.finish(), fnv1a64(b"foobar"));
+        assert_eq!(Fnv1a64::default().finish(), fnv1a64(b""));
     }
 }

@@ -16,7 +16,7 @@ mod histogram;
 mod rng;
 mod table;
 
-pub use codec::{fnv1a64, ByteReader, ByteWriter, DecodeError};
+pub use codec::{fnv1a64, ByteReader, ByteWriter, DecodeError, Fnv1a64};
 pub use hash::{FastMap, FibHasher};
 pub use histogram::Histogram;
 pub use rng::{Rng, SampleRange};

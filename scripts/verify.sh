@@ -36,6 +36,12 @@
 # the checkpoint round-trip test proves save/restore/resume is
 # bit-identical to continuous simulation, fault injection included.
 #
+# The store-key step pins program and config fingerprints, result keys
+# and a DSE request's cell labels and keys. Store keys and file names are
+# a format commitment: a renderer that drifts by one byte leaves every
+# stored result and checkpoint unreachable, and since a miss is simply
+# recomputed, no other gate would notice.
+#
 # The fmt gate keeps the tree `cargo fmt`-clean; the clippy gate bans
 # `.unwrap()`/`.expect()` from the hot simulation crates' library code
 # (tests are exempt via cfg(test)): every runtime failure
@@ -136,6 +142,10 @@ cargo run --release -q -p dda-bench --bin sampling -- \
 # bit-identical to continuous simulation, fault injection included.
 echo "== checkpoint round-trip (tests/checkpoint_roundtrip.rs)"
 cargo test --release -q --test checkpoint_roundtrip
+
+# Store keys (see the header).
+echo "== store keys (tests/store_keys.rs)"
+cargo test --release -q --test store_keys
 
 # Kernel identity in release mode (see the header).
 echo "== kernel identity (tests/determinism.rs)"

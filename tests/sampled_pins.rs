@@ -6,12 +6,13 @@
 //! one-thread driver produced: the encoded cell of three benchmarks (cold
 //! without a store, cold into a store, warm from it), a window that
 //! deadlocks, a fast-forward that traps after a window, and a program
-//! that halts inside a window's warm-up.
+//! that halts inside a window's warm-up. A window shorter than a commit
+//! group is refused with a typed error before anything runs.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dda::core::{MachineConfig, SimError, Trap};
+use dda::core::{ConfigError, MachineConfig, SimError, Trap};
 use dda::isa::Gpr;
 use dda::program::{FunctionBuilder, Program, ProgramBuilder};
 use dda::stats::fnv1a64;
@@ -181,34 +182,50 @@ fn a_halt_inside_a_warm_up_is_pinned() {
 }
 
 #[test]
-fn a_window_shorter_than_a_commit_group_is_pinned() {
-    // The warm-up ends inside a commit group that also covers the
-    // one-instruction window, so the first window measures nothing and
-    // the run covers the budget tail from the first start without
-    // halting. The warm run restores the tail instead of replaying it.
+fn a_window_shorter_than_a_commit_group_is_rejected() {
+    // The warm-up could end inside a commit group that also covers the
+    // whole window, which would then measure nothing without a halt. Such
+    // a window is refused before anything is replayed or stored.
     let program = countdown(100_000, |f| {
         f.halt();
     });
+    let commit_width = optimized().commit_width;
+    assert_eq!(commit_width, 16);
+    for window_insts in [0, 1, 15] {
+        let scfg = SamplingConfig {
+            window_insts,
+            warmup_insts: 503,
+            ..small_plan(40_000)
+        };
+        let want = SimError::Config(ConfigError::WindowShorterThanCommitGroup {
+            window_insts,
+            commit_width,
+        });
+        let plain = sample_program(&optimized(), Arc::clone(&program), &scfg);
+        assert_eq!(plain.unwrap_err(), want);
+        let (dir, store) = fresh_store("short-window");
+        let stored = sample_program_stored(&optimized(), Arc::clone(&program), &scfg, Some(&store));
+        let files = store.len().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(stored.unwrap_err(), want);
+        assert_eq!(files, 0, "nothing is replayed or checkpointed");
+    }
+    assert_eq!(
+        SimError::Config(ConfigError::WindowShorterThanCommitGroup {
+            window_insts: 1,
+            commit_width,
+        })
+        .to_string(),
+        "invalid machine configuration: sampling window of 1 instructions is \
+         shorter than a commit group (16 instructions)"
+    );
+    // A window of exactly one commit group measures every window.
     let scfg = SamplingConfig {
-        window_insts: 1,
+        window_insts: u64::from(commit_width),
         warmup_insts: 503,
         ..small_plan(40_000)
     };
-    let plain = sample_program(&optimized(), Arc::clone(&program), &scfg).unwrap();
-    let (dir, store) = fresh_store("short-window");
-    let cold = sample_program_stored(&optimized(), Arc::clone(&program), &scfg, Some(&store));
-    let files = store.len().unwrap();
-    let warm = sample_program_stored(&optimized(), program, &scfg, Some(&store));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (cold, warm) = (cold.unwrap(), warm.unwrap());
-    for (run, ff) in [(&plain, 40_000), (&cold, 40_000), (&warm, 0)] {
-        assert!(run.windows.is_empty());
-        assert_eq!(
-            summary(run),
-            (0xbf0d_3b33_8c92_611f, ff, 504, false),
-            "fast_forwarded {ff}"
-        );
-    }
-    // The first start and the budget tail.
-    assert_eq!(files, 2);
+    let run = sample_program(&optimized(), program, &scfg).unwrap();
+    assert_eq!(run.windows.len(), 4);
+    assert!(run.windows.iter().all(|w| w.committed > 0));
 }
