@@ -26,11 +26,14 @@
 //!
 //! `--quick` restricts the sweep to one seed (the CI smoke mode);
 //! `--out` changes the JSON report path (default `BENCH_faults.json`).
+//! The report records `kernel_version` and `host_cpus` beside the
+//! outcomes.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use dda_bench::campaign::{contained_run, json_escape};
+use dda_bench::KERNEL_VERSION;
 use dda_core::{FaultPlan, MachineConfig, SimError};
 use dda_workloads::Benchmark;
 
@@ -141,8 +144,13 @@ fn main() {
     let mut total_injected = 0u64;
     let mut total_detected = 0u64;
 
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n");
-    let _ = write!(json, "  \"budget\": {budget},\n  \"quick\": {quick},\n");
+    let _ = write!(
+        json,
+        "  \"kernel_version\": {KERNEL_VERSION},\n  \"host_cpus\": {host_cpus},\n  \
+         \"budget\": {budget},\n  \"quick\": {quick},\n"
+    );
 
     // Gate 2 first: with FaultPlan::none the fast kernel must match the
     // reference kernel bit-for-bit, and the auditor must be free.

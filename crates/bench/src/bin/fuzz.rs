@@ -28,6 +28,9 @@
 //! — the end-to-end self-test of the oracle, the isolation, and the
 //! minimizer.
 //!
+//! The report records `kernel_version` and `host_cpus` beside the
+//! outcomes and timings.
+//!
 //! Exit status: 0 for a clean campaign (and, under `--plant-defect`, a
 //! caught + fully minimized defect); 1 otherwise.
 
@@ -36,6 +39,7 @@ use std::fmt::Write as _;
 use dda_bench::campaign::{
     corpus_entry_source, json_escape, run_campaign, CampaignConfig, CampaignReport,
 };
+use dda_bench::KERNEL_VERSION;
 use dda_core::{FaultPlan, FaultStats};
 use dda_vm::{EDGE_BUCKETS, OP_CLASS_COUNT};
 
@@ -120,10 +124,12 @@ fn report_json(
     r: &CampaignReport,
     corpus_files: &[String],
 ) -> String {
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n");
     let _ = write!(
         json,
-        "  \"seed\": {},\n  \"programs\": {},\n  \"budget\": {},\n  \"quick\": {},\n  \
+        "  \"kernel_version\": {KERNEL_VERSION},\n  \"host_cpus\": {host_cpus},\n  \
+         \"seed\": {},\n  \"programs\": {},\n  \"budget\": {},\n  \"quick\": {},\n  \
          \"deadlock_window\": {},\n  \"mutate_every\": {},\n  \"faults_armed\": {},\n  \
          \"plant_defect\": {},\n",
         cc.seed,

@@ -9,7 +9,7 @@ use dda_stats::DecodeError;
 
 use crate::block::{MemOp, MicroOp, OpKind, Terminator, MAX_BLOCK_OPS, NO_BLOCK};
 use crate::memory::SparseMemory;
-use crate::snapshot::{Checkpoint, CheckpointKey, TCacheSnapshot};
+use crate::snapshot::{Checkpoint, CheckpointKey};
 use crate::tcache::{TCache, TCacheStats};
 
 /// An error raised during functional execution.
@@ -597,9 +597,11 @@ impl Vm {
     /// content-addressed by `(program_hash, instructions executed,
     /// config_hash)`. The two hashes are caller-provided (`dda-vm` does
     /// not define the canonical program/config fingerprints); restoring
-    /// through [`Vm::restore`] yields a machine bit-identical to this
-    /// one — registers, memory pages, `sp_version`, call depths and
-    /// translation-cache state (counters included) all round-trip.
+    /// through [`Vm::restore`] yields a machine whose future is
+    /// bit-identical to this one's — registers, memory pages,
+    /// `sp_version` and call depths all round-trip. The translation
+    /// cache is never persisted: it is a memo of decoded blocks, not
+    /// architectural state.
     pub fn checkpoint(&self, program_hash: u64, config_hash: u64) -> Checkpoint {
         Checkpoint {
             key: CheckpointKey {
@@ -611,9 +613,7 @@ impl Vm {
             halted: self.halted,
             call_depth: self.call_depth,
             max_call_depth: self.max_call_depth,
-            block_hint: self.block_hint,
             sp_version: self.sp_version,
-            seq: self.seq,
             gpr: self.gpr,
             fpr_bits: core::array::from_fn(|i| self.fpr[i].to_bits()),
             pages: self
@@ -621,10 +621,6 @@ impl Vm {
                 .resident_page_bytes()
                 .map(|(i, b)| (i, b.to_vec()))
                 .collect(),
-            tcache: self.tcache.as_ref().map(|tc| TCacheSnapshot {
-                recipe: tc.recipe(),
-                stats: tc.stats,
-            }),
             cache_tags: None,
         }
     }
@@ -634,37 +630,25 @@ impl Vm {
     /// The caller is responsible for passing the *same* program the
     /// checkpoint was taken from (the content-addressed store keys on
     /// the program hash); this function validates that the snapshot
-    /// structurally fits the image and rebuilds the translation cache by
-    /// re-decoding the recorded block starts, which is deterministic, so
-    /// the restored machine's future execution — dynamic stream, cache
-    /// counters, inline-cache behaviour — is bit-identical to the
-    /// original's.
+    /// structurally fits the image. The restored machine starts with an
+    /// empty translation cache and re-decodes its blocks on first use,
+    /// so its future dynamic stream is bit-identical to the original's;
+    /// only the cache counters start again from zero.
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError::Corrupt`] when a page index or a
-    /// translation-cache entry does not fit `program`.
+    /// Returns [`DecodeError::Corrupt`] when a page index does not fit
+    /// memory, or when a machine that has not halted resumes at a pc
+    /// outside `program`.
     pub fn restore(program: Arc<Program>, ck: &Checkpoint) -> Result<Vm, DecodeError> {
+        if !ck.halted && ck.pc as usize >= program.len() {
+            return Err(DecodeError::Corrupt("pc outside the program image"));
+        }
         let mut mem = SparseMemory::new();
         for (index, bytes) in &ck.pages {
             if !mem.install_page(*index, bytes) {
                 return Err(DecodeError::Corrupt("page does not fit memory"));
             }
-        }
-        let tcache = match &ck.tcache {
-            None => None,
-            Some(snap) => match TCache::rebuild(&program, &snap.recipe, snap.stats) {
-                Some(tc) => Some(Box::new(tc)),
-                None => return Err(DecodeError::Corrupt("tcache recipe does not fit program")),
-            },
-        };
-        if let Some(tc) = &tcache {
-            let n = tc.blocks.len() as u32;
-            if ck.block_hint != NO_BLOCK && ck.block_hint >= n {
-                return Err(DecodeError::Corrupt("block hint out of range"));
-            }
-        } else if ck.block_hint != NO_BLOCK {
-            return Err(DecodeError::Corrupt("block hint without a tcache"));
         }
         Ok(Vm {
             program,
@@ -673,12 +657,12 @@ impl Vm {
             fpr: core::array::from_fn(|i| f64::from_bits(ck.fpr_bits[i])),
             mem,
             sp_version: ck.sp_version,
-            seq: ck.seq,
+            seq: ck.key.inst_index,
             call_depth: ck.call_depth,
             max_call_depth: ck.max_call_depth,
             halted: ck.halted,
-            tcache,
-            block_hint: ck.block_hint,
+            tcache: None,
+            block_hint: NO_BLOCK,
         })
     }
 
@@ -1484,12 +1468,12 @@ mod tests {
         assert_eq!(restored.call_depth(), vm.call_depth());
         assert_eq!(restored.max_call_depth(), vm.max_call_depth());
         assert_eq!(restored.instructions_executed(), vm.instructions_executed());
-        assert_eq!(restored.tcache_stats(), vm.tcache_stats());
         assert_eq!(
             restored.memory().resident_page_bytes().collect::<Vec<_>>(),
             vm.memory().resident_page_bytes().collect::<Vec<_>>()
         );
-        // ...and so does the entire future: stream and cache counters.
+        // ...and so does the entire future, through the interpreter and
+        // through the translation cache the restored machine rebuilds.
         let a: Vec<DynInst> = vm.stream().collect();
         let b: Vec<DynInst> = restored.stream().collect();
         assert_eq!(a, b);
@@ -1501,7 +1485,6 @@ mod tests {
         let mut buf2 = Vec::new();
         while cont.step_block(&mut buf2).is_none() && !cont.is_halted() {}
         assert_eq!(buf, buf2);
-        assert_eq!(vm2.tcache_stats(), cont.tcache_stats());
     }
 
     #[test]
@@ -1518,19 +1501,6 @@ mod tests {
             Vm::restore(tiny, &ck),
             Err(DecodeError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn checkpoint_without_tcache_restores_cleanly() {
-        let p = Arc::new(busy_program());
-        let mut vm = Vm::new(Arc::clone(&p));
-        vm.run(50).unwrap(); // interpreter only — no tcache materialised
-        let ck = vm.checkpoint(1, 2);
-        assert!(!ck.has_tcache());
-        let mut restored = Vm::restore(Arc::clone(&p), &ck).unwrap();
-        let a: Vec<DynInst> = vm.stream().take(50).collect();
-        let b: Vec<DynInst> = restored.stream().take(50).collect();
-        assert_eq!(a, b);
     }
 
     #[test]

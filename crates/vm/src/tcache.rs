@@ -48,29 +48,6 @@ impl TCacheStats {
             1.0 - self.blocks_decoded as f64 / self.blocks_replayed as f64
         }
     }
-
-    /// Accumulates another machine's counters (for sweep-wide reporting).
-    pub fn merge(&mut self, other: &TCacheStats) {
-        self.blocks_decoded += other.blocks_decoded;
-        self.ops_decoded += other.ops_decoded;
-        self.blocks_replayed += other.blocks_replayed;
-        self.ops_replayed += other.ops_replayed;
-        self.inline_hits += other.inline_hits;
-        self.map_lookups += other.map_lookups;
-    }
-}
-
-/// The serializable reconstruction recipe of one decoded block: its
-/// start pc plus the resolved inline-cache links. The micro-ops
-/// themselves are *not* serialized — decoding is deterministic, so
-/// replaying `decode_block` over the starts (in original decode order,
-/// which is block-id order) reproduces the identical `blocks`/`ops`
-/// arrays, function pointers regenerated for the current process.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct BlockRecipe {
-    pub start: u32,
-    pub succ: [u32; 2],
-    pub dyn_succ: (u32, u32),
 }
 
 /// The translation cache of one [`crate::Vm`].
@@ -159,53 +136,5 @@ impl TCache {
                 1
             };
         id
-    }
-
-    /// Exports the reconstruction recipe: one [`BlockRecipe`] per block
-    /// in decode (= block-id) order, plus the live counters.
-    pub fn recipe(&self) -> Vec<BlockRecipe> {
-        self.blocks
-            .iter()
-            .map(|b| BlockRecipe {
-                start: b.start,
-                succ: b.succ,
-                dyn_succ: b.dyn_succ,
-            })
-            .collect()
-    }
-
-    /// Rebuilds a cache from a [`TCache::recipe`] export: re-decodes each
-    /// block start in order (deterministic, so ids, op ranges and
-    /// terminators come out identical), then patches the inline-cache
-    /// links and counters back in.
-    ///
-    /// Returns `None` when the recipe does not fit the program (a start
-    /// outside the image or not actually a fresh block start, or a link
-    /// to a block id that does not exist) — checkpoint corruption, not a
-    /// recoverable condition.
-    pub fn rebuild(
-        program: &Program,
-        recipe: &[BlockRecipe],
-        stats: TCacheStats,
-    ) -> Option<TCache> {
-        let n = recipe.len() as u32;
-        let mut tc = TCache::new(program);
-        for r in recipe {
-            if r.start as usize >= program.len() || tc.map[r.start as usize] != NO_BLOCK {
-                return None;
-            }
-            tc.decode_block(program, r.start);
-        }
-        for (id, r) in recipe.iter().enumerate() {
-            let link_ok = |l: u32| l == NO_BLOCK || l < n;
-            if !link_ok(r.succ[0]) || !link_ok(r.succ[1]) || !link_ok(r.dyn_succ.1) {
-                return None;
-            }
-            let b = &mut tc.blocks[id];
-            b.succ = r.succ;
-            b.dyn_succ = r.dyn_succ;
-        }
-        tc.stats = stats;
-        Some(tc)
     }
 }

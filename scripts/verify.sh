@@ -37,10 +37,14 @@
 # bit-identical to continuous simulation, fault injection included.
 #
 # The store-key step pins program and config fingerprints, result keys
-# and a DSE request's cell labels and keys. Store keys and file names are
-# a format commitment: a renderer that drifts by one byte leaves every
-# stored result and checkpoint unreachable, and since a miss is simply
-# recomputed, no other gate would notice.
+# and a DSE request's cell labels and keys; the record-codec step (with
+# the checkpoint pin in the round-trip step) pins the byte layout of
+# every persisted record: results, DSE cell outcomes, checkpoints and
+# cache-tag snapshots. Store keys, file names and record
+# layouts are all format commitments: a renderer or encoder that drifts
+# by one byte leaves every stored result and checkpoint unreachable, and
+# since a miss is simply recomputed, no other gate would notice. A
+# layout change takes a format version bump.
 #
 # The fmt gate keeps the tree `cargo fmt`-clean; the clippy gate bans
 # `.unwrap()`/`.expect()` from the hot simulation crates' library code
@@ -142,6 +146,10 @@ cargo run --release -q -p dda-bench --bin sampling -- \
 # bit-identical to continuous simulation, fault injection included.
 echo "== checkpoint round-trip (tests/checkpoint_roundtrip.rs)"
 cargo test --release -q --test checkpoint_roundtrip
+
+# Persisted record layouts (see the header).
+echo "== record codec (tests/record_codec.rs)"
+cargo test --release -q --test record_codec
 
 # Store keys (see the header).
 echo "== store keys (tests/store_keys.rs)"

@@ -16,7 +16,7 @@ use dda::vm::{Checkpoint, Vm};
 use dda::workloads::{Benchmark, RealWorkload};
 use dda_bench::{
     config_fingerprint, program_fingerprint, sample_program, sample_program_stored,
-    tags_from_checkpoint, CheckpointStore, Confidence, SamplingConfig,
+    tags_from_checkpoint, CheckpointStore, Confidence, SampledCell, SamplingConfig,
 };
 use dda_mem::FunctionalWarmup;
 
@@ -160,13 +160,61 @@ fn sampling_through_a_store_is_transparent_under_faults() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checkpoint file written by an older format version is a store miss:
+/// the sampling driver replays the position instead, measures exactly
+/// what a storeless run measures, and overwrites the file in the current
+/// format.
+#[test]
+fn an_old_format_checkpoint_is_a_sampling_miss() {
+    let dir = std::env::temp_dir().join(format!("dda-ckpt-old-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::open(&dir).unwrap();
+    let cfg = MachineConfig::n_plus_m(4, 2).with_optimizations();
+    let program = Arc::new(Benchmark::Compress.program(u32::MAX / 2));
+    let scfg = SamplingConfig {
+        windows: 3,
+        window_insts: 600,
+        warmup_insts: 300,
+        budget: 24_000,
+        confidence: Confidence::C95,
+        functional_warmup: true,
+        ..SamplingConfig::for_budget(0)
+    };
+    let plain = sample_program(&cfg, Arc::clone(&program), &scfg).unwrap();
+    sample_program_stored(&cfg, Arc::clone(&program), &scfg, Some(&store)).unwrap();
+
+    // Rewrite one stored file's version word (after the 8-byte magic) to
+    // 1. Files sort by position; the second is the first one past
+    // instruction 0, so treating it as a miss costs a replay.
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    let victim = &files[1];
+    let mut bytes = std::fs::read(victim).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(victim, &bytes).unwrap();
+
+    let warm = sample_program_stored(&cfg, program, &scfg, Some(&store)).unwrap();
+    assert_eq!(
+        SampledCell::from_run(&warm, 1),
+        SampledCell::from_run(&plain, 1)
+    );
+    assert!(warm.fast_forwarded > 0, "the old file was not a miss");
+    let healed = std::fs::read(victim).unwrap();
+    assert_eq!(healed[8..12], 2u32.to_le_bytes(), "not rewritten");
+    assert!(Checkpoint::from_bytes(&healed).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Length and FNV-1a 64 hash of the pinned checkpoint below, as encoded
 /// when the format was pinned. Checkpoint stores are content-addressed
 /// and persist across builds, so a change to either value means stores
 /// written by an older build no longer restore: that takes a format
 /// version bump, not an edit of these constants.
-const PINNED_CHECKPOINT_LEN: usize = 29_571;
-const PINNED_CHECKPOINT_FNV: u64 = 0x7169_c499_1d30_537d;
+const PINNED_CHECKPOINT_LEN: usize = 29_146;
+const PINNED_CHECKPOINT_FNV: u64 = 0x3714_6b3d_c4b2_e181;
 
 /// The checkpoint encoding is pinned byte for byte: compress after 50 000
 /// fast-forwarded instructions encodes to the same bytes, and decoding
